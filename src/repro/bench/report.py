@@ -183,23 +183,8 @@ def wallclock_key(machine: str, coarsener: str, constructor: str, seed: int,
     return f"{key}:t{threads}" if threads > 1 else key
 
 
-def _legacy_wallclock_key(doc: dict) -> str:
-    cfg = doc.get("config", {})
-    return wallclock_key(
-        cfg.get("machine", "gpu"),
-        cfg.get("coarsener", "hec"),
-        cfg.get("constructor", "sort"),
-        cfg.get("seed", 0),
-    )
-
-
 def merge_wallclock_file(path: Path, key: str, entry: dict) -> None:
-    """Insert/replace one config entry in a wall-clock baseline file.
-
-    Schema-1 files (one top-level config, PR 3) are adopted as a single
-    entry under their legacy key, so extending the baseline never
-    discards the configs already committed.
-    """
+    """Insert/replace one config entry in a wall-clock baseline file."""
     doc = {"schema": WALLCLOCK_SCHEMA, "configs": {}}
     if path.exists():
         try:
@@ -208,19 +193,14 @@ def merge_wallclock_file(path: Path, key: str, entry: dict) -> None:
             old = {}
         if isinstance(old.get("configs"), dict):
             doc["configs"] = dict(old["configs"])
-        elif "per_graph_best_sum_s" in old:
-            doc["configs"][_legacy_wallclock_key(old)] = old
     doc["configs"][key] = entry
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def wallclock_reference(ref: dict, key: str) -> dict | None:
-    """Find the entry gating ``key`` in a baseline file (any schema)."""
-    if isinstance(ref.get("configs"), dict):
-        return ref["configs"].get(key)
-    if "per_graph_best_sum_s" in ref and _legacy_wallclock_key(ref) == key:
-        return ref
-    return None
+    """Find the entry gating ``key`` in a baseline file."""
+    configs = ref.get("configs")
+    return configs.get(key) if isinstance(configs, dict) else None
 
 
 _COARSEN_COLUMNS = [
@@ -281,24 +261,14 @@ def _emit(rows: list[dict], columns, title: str, args, summary: dict | None = No
 def _resolve_jobs(args) -> int:
     """``--jobs`` resolution: default 1 (serial), 0 = every usable core.
 
-    Explicit values are clamped to the machine's core count — more
-    worker processes than cores only adds contention, and combined with
-    ``--threads`` would oversubscribe quadratically.
+    Explicit values are clamped to the usable (affinity-aware) core
+    count — more worker processes than cores only adds contention, and
+    combined with ``--threads`` would oversubscribe quadratically.
     """
-    import os
-
-    from ..parallel.pool import default_jobs
+    from ..parallel.tiles import usable_cores
 
     jobs = getattr(args, "jobs", 1)
-    jobs = default_jobs() if jobs == 0 else max(1, jobs)
-    return min(jobs, max(1, os.cpu_count() or 1))
-
-
-def _resolve_threads(args) -> int:
-    """``--threads`` resolution (None = ``REPRO_THREADS`` or 1; 0 = all cores)."""
-    from ..parallel import tiles
-
-    return tiles.resolve_threads(getattr(args, "threads", None))
+    return min(usable_cores() if jobs == 0 else max(1, jobs), usable_cores())
 
 
 def _budget_bytes(args) -> int | None:
@@ -332,6 +302,7 @@ def _task_from_args(kind: str, graph: str, args, **overrides):
 def _run_session(tasks, args):
     """Fan tasks out through the fault-tolerant session layer."""
     from ..parallel.session import run_session
+    from ..parallel.tiles import resolve_threads
 
     return run_session(
         tasks,
@@ -340,7 +311,7 @@ def _run_session(tasks, args):
         retries=getattr(args, "retries", 2),
         task_timeout=getattr(args, "task_timeout", None),
         validate_corpus=getattr(args, "validate_corpus", False),
-        threads=_resolve_threads(args),
+        threads=resolve_threads(getattr(args, "threads", None)),
     )
 
 
@@ -382,9 +353,10 @@ def _cmd_corpus_wallclock(args) -> int:
     and the parallel path.
     """
     from ..parallel.pool import format_pool_summary
+    from ..parallel.tiles import resolve_threads
 
     jobs = _resolve_jobs(args)
-    threads = _resolve_threads(args)
+    threads = resolve_threads(getattr(args, "threads", None))
     tasks = [
         _task_from_args("coarsen", spec.name, args, wallclock=True,
                         reps=args.reps, warmup=args.warmup)

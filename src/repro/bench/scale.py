@@ -24,6 +24,8 @@ import sys
 import time
 from pathlib import Path
 
+from ..parallel.tiles import resolve_threads
+
 __all__ = [
     "add_scale_args",
     "cmd_scale",
@@ -50,24 +52,8 @@ def rss_key(machine: str, coarsener: str, constructor: str, seed: int,
     return f"{key}:t{threads}" if threads > 1 else key
 
 
-def _legacy_rss_key(doc: dict) -> str:
-    cfg = doc.get("config", {})
-    return rss_key(
-        cfg.get("machine", "gpu"),
-        cfg.get("coarsener", "hec"),
-        cfg.get("constructor", "sort"),
-        cfg.get("seed", 0),
-        cfg.get("tier", "x10"),
-    )
-
-
 def merge_rss_file(path: Path, key: str, entry: dict) -> None:
-    """Insert/replace one config entry in an RSS baseline file.
-
-    Schema-1 files (one top-level config, PR 8) are adopted as a single
-    entry under their legacy key, so adding the x100 smoke config never
-    discards the committed x10 baseline.
-    """
+    """Insert/replace one config entry in an RSS baseline file."""
     doc = {"schema": RSS_SCHEMA, "configs": {}}
     if path.exists():
         try:
@@ -76,21 +62,14 @@ def merge_rss_file(path: Path, key: str, entry: dict) -> None:
             old = {}
         if isinstance(old.get("configs"), dict):
             doc["configs"] = dict(old["configs"])
-        elif "per_graph" in old:
-            doc["configs"][_legacy_rss_key(old)] = {
-                k: v for k, v in old.items() if k != "schema"
-            }
     doc["configs"][key] = entry
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def rss_reference(ref: dict, key: str) -> dict | None:
-    """Find the entry gating ``key`` in a baseline file (any schema)."""
-    if isinstance(ref.get("configs"), dict):
-        return ref["configs"].get(key)
-    if "per_graph" in ref and _legacy_rss_key(ref) == key:
-        return ref
-    return None
+    """Find the entry gating ``key`` in a baseline file."""
+    configs = ref.get("configs")
+    return configs.get(key) if isinstance(configs, dict) else None
 
 
 def add_scale_args(p) -> None:
@@ -124,12 +103,6 @@ def add_scale_args(p) -> None:
                         "the reference (default 1.0; host timing is noisy)")
 
 
-def _resolved_threads(args) -> int:
-    from ..parallel.tiles import resolve_threads
-
-    return resolve_threads(getattr(args, "threads", None))
-
-
 def _child_cmd(graph: str, args) -> list[str]:
     cmd = [
         sys.executable, "-m", "repro.bench", "coarsen",
@@ -141,7 +114,7 @@ def _child_cmd(graph: str, args) -> list[str]:
         "--seed", str(args.seed),
         "--memory-budget", args.memory_budget,
     ]
-    threads = _resolved_threads(args)
+    threads = resolve_threads(args.threads)
     if threads > 1:
         cmd += ["--threads", str(threads)]
     return cmd
@@ -182,7 +155,7 @@ def cmd_scale(args) -> int:
         print(f"ERROR: {len(failed)} scale child(ren) failed")
         return 1
 
-    threads = _resolved_threads(args)
+    threads = resolve_threads(args.threads)
     key = rss_key(args.machine, args.coarsener, args.constructor, args.seed,
                   args.tier, threads)
     entry = {

@@ -37,6 +37,10 @@ __all__ = [
 
 _B = 8
 
+#: candidate-scan live bytes per window entry (lane ids + gather indices
+#: + neighbour ids + masked weights)
+_HEM_BPE = 4 * _B
+
 
 def hem_serial(g: CSRGraph, space: ExecSpace) -> CoarseMapping:
     """Algorithm 2, direct transcription (loop-based reference)."""
@@ -69,50 +73,35 @@ def unmatched_heavy_neighbors(
 
     Returns an array aligned with ``queue`` (``-1`` = no candidate).
     Streams the full adjacency of the queued vertices — the recomputation
-    cost that makes parallel HEM slower than HEC (Section III-A.2).
+    cost that makes parallel HEM slower than HEC (Section III-A.2) — as
+    one window body over the queue's lane pointer, run through
+    :func:`repro.parallel.tiles.row_window_map`.  Lanes never straddle a
+    window, so each window's segment argmax picks the same first-max
+    winner as a whole-queue scan.
     """
-    h = np.full(len(queue), UNMAPPED, dtype=VI)
-    starts, stops = g.xadj[queue], g.xadj[queue + 1]
-    lengths = stops - starts
-    total = int(lengths.sum())
-    t = _tiles.current()
-    if total and t is not None and t.engaged(total):
-        # tile-parallel twin: lane-aligned tiles of the queued adjacency.
-        # The lane pointer depends only on the queue (deterministic
-        # algorithm state) and the tile constant; lanes never straddle a
-        # tile, so each tile's segment argmax picks the same first-max
-        # winner as the global scan, and tiles write disjoint h[q0:q1].
-        lane_xadj = np.zeros(len(queue) + 1, dtype=VI)
-        np.cumsum(lengths, out=lane_xadj[1:])
+    starts = g.xadj[queue]
+    lengths = g.xadj[queue + 1] - starts
+    # lane pointer of the queued adjacency: a function of the queue
+    # (deterministic algorithm state) alone, so its row windows are too
+    lane_xadj = np.zeros(len(queue) + 1, dtype=VI)
+    np.cumsum(lengths, out=lane_xadj[1:])
+    total = int(lane_xadj[-1])
 
-        def tile(q0, q1, e0, e1):
-            local_xadj = lane_xadj[q0 : q1 + 1] - e0
-            lane_l = np.repeat(np.arange(q1 - q0, dtype=VI), lengths[q0:q1])
-            idx_w = (
-                np.arange(e1 - e0, dtype=VI)
-                - local_xadj[lane_l]
-                + starts[q0:q1][lane_l]
-            )
-            nbr_w = g.adjncy[idx_w]
-            wt_w = np.where(m[nbr_w] == UNMAPPED, g.ewgts[idx_w], -np.inf)
-            best_w = segment_max_index(None, wt_w, local_xadj)
-            ok_w = best_w >= 0
-            ok_w[ok_w] &= np.isfinite(wt_w[best_w[ok_w]])
-            h[q0:q1][ok_w] = nbr_w[best_w[ok_w]]
-
-        t.run_tiles(tile, t.row_tiles(lane_xadj))
-    elif total:
-        lane = np.repeat(np.arange(len(queue), dtype=VI), lengths)
-        lane_xadj = np.zeros(len(queue) + 1, dtype=VI)
-        np.cumsum(lengths, out=lane_xadj[1:])
-        idx = np.arange(total, dtype=VI) - lane_xadj[lane] + starts[lane]
+    def window(q0, q1, e0, e1):
+        local_xadj = lane_xadj[q0 : q1 + 1] - e0
+        lane = np.repeat(np.arange(q1 - q0, dtype=VI), lengths[q0:q1])
+        idx = np.arange(e1 - e0, dtype=VI) - local_xadj[lane] + starts[q0:q1][lane]
         nbr = g.adjncy[idx]
         wt = np.where(m[nbr] == UNMAPPED, g.ewgts[idx], -np.inf)
         # per-lane argmax (first maximum, as in the strictly-greater scan)
-        best = segment_max_index(None, wt, lane_xadj)
+        best = segment_max_index(None, wt, local_xadj)
         ok = best >= 0
         ok[ok] &= np.isfinite(wt[best[ok]])
+        h = np.full(q1 - q0, UNMAPPED, dtype=VI)
         h[ok] = nbr[best[ok]]
+        return h
+
+    h = _tiles.stitch(_tiles.row_window_map(lane_xadj, _HEM_BPE, window, g))
     space.ledger.charge(
         phase,
         KernelCost(

@@ -11,6 +11,8 @@ sweep first halves and *balances* the bins, and a final transpose pass
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from ..coarsen.base import CoarseMapping
@@ -21,7 +23,6 @@ from ..parallel import tiles as _tiles
 from ..parallel.primitives import stable_key_sort
 from ..storage import budget as _budget
 from ..storage import chunked as _chunked
-from ..storage import mapped as _mapped
 from ..types import VI, WT
 from .base import (
     coarse_vertex_weights,
@@ -34,7 +35,7 @@ __all__ = ["construct_sort", "sorted_dedup", "sort_cost_keyops"]
 
 _B = 8
 
-#: chunked map-sweep live bytes per window entry (adjncy view + mapped
+#: map-sweep live bytes per window entry (adjncy view + mapped
 #: pair + cross mask + packed key + estimate gathers)
 _CONSTRUCT_BPE = 5 * _B
 
@@ -160,18 +161,17 @@ def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSR
     the intermediate cross-edge arrays, which are never materialised.
 
     Under an installed :mod:`repro.storage.budget` whose ceiling is
-    below the edge-volume transients, construction streams row-aligned
-    windows and spills compacted sort keys to disk — results, ledger
-    charges, and trace spans stay byte-identical (see
-    ``_construct_sort_regular_budgeted``).
+    below the edge-volume transients, the map sweep's windows spill
+    their compacted sort keys to disk and dedup runs out of core —
+    results, ledger charges, and trace spans stay byte-identical.
     """
     b = _budget.current()
-    if b is not None and b.engages(_CONSTRUCT_BPE * g.m_directed):
-        if is_skewed(g):
-            return _construct_sort_skewed_budgeted(g, mapping, space, b)
-        return _construct_sort_regular_budgeted(g, mapping, space, b)
+    if b is not None and not b.engages(_CONSTRUCT_BPE * g.m_directed):
+        b = None
     if not is_skewed(g):
-        return _construct_sort_regular(g, mapping, space)
+        return _construct_sort_regular(g, mapping, space, b)
+    if b is not None:
+        return _construct_sort_skewed_budgeted(g, mapping, space, b)
 
     n_c = mapping.n_c
     unit_w = g.has_unit_ewgts()
@@ -252,7 +252,17 @@ def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSR
     return finalize_csr(n_c, mu, mv, w, vwgts, g.name)
 
 
-def _construct_sort_regular(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSRGraph:
+def _mapped_pair_window(m, g, degs, r0, r1, e0, e1):
+    """One window of the map sweep: ``(mu, mv, cross, adjncy slice)``."""
+    adj_w = np.asarray(g.adjncy[e0:e1])
+    mu_w = np.repeat(m[r0:r1], degs[r0:r1])
+    mv_w = m[adj_w]
+    return mu_w, mv_w, mu_w != mv_w, adj_w
+
+
+def _construct_sort_regular(
+    g: CSRGraph, mapping: CoarseMapping, space: ExecSpace, b=None
+) -> CSRGraph:
     """Fused regular-degree path: map, dedup and assemble in one pipeline.
 
     Bit- and charge-identical to ``mapped_cross_edges`` → ``sorted_dedup``
@@ -261,6 +271,12 @@ def _construct_sort_regular(g: CSRGraph, mapping: CoarseMapping, space: ExecSpac
     keep-side predicate only runs on skewed inputs), the coarse id pair
     is carried as one radix-sortable word, and the final CSR comes
     straight from the sorted key runs.
+
+    The map sweep is one row-window body.  Its per-window key fragments,
+    in window order, equal the fused-then-compressed whole-graph array
+    (windows partition edge space in row order); with an engaged budget
+    ``b`` each fragment is spilled as it is produced and the dedup runs
+    out of core (:func:`_dedup_spilled`).
     """
     n_c = mapping.n_c
     m = mapping.m
@@ -283,98 +299,63 @@ def _construct_sort_regular(g: CSRGraph, mapping: CoarseMapping, space: ExecSpac
         if unit_w and m.dtype == np.int32 and (n_c << shift) < (1 << 31)
         else np.int64
     )
-    t = _tiles.current()
-    if t is not None and t.engaged(g.m_directed):
-        # tile-parallel map sweep: per-tile key fragments concatenated
-        # in tile order equal the fused-then-compressed global array
-        # (row tiles partition edge space in row order)
-        degs = g.degrees()
+    degs = g.degrees()
 
-        def tile(r0, r1, e0, e1):
-            mu_w, mv_w, cross_w, _adj = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
-            frag = (mu_w * key_t(1 << shift) + mv_w)[cross_w]
-            if unit_w:
-                return frag, None
-            return frag, np.asarray(g.ewgts[e0:e1])[cross_w]
-
-        parts = t.map_tiles(tile, t.row_tiles(g.xadj))
-        key = (
-            np.concatenate([p[0] for p in parts])
-            if parts
-            else np.zeros(0, dtype=key_t)
-        )
-        w = (
-            None
-            if unit_w
-            else (
-                np.concatenate([p[1] for p in parts])
-                if parts
-                else np.zeros(0, dtype=WT)
-            )
-        )
-    else:
-        mu = np.repeat(m, g.degrees())
-        mv = m[g.adjncy]
-        cross = mu != mv
-        # fuse over the full arrays, then compress once: one boolean-mask
+    def window(r0, r1, e0, e1):
+        mu_w, mv_w, cross_w, _adj = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
+        # fuse over the window, then compress once: one boolean-mask
         # pass instead of two
-        key = (mu * key_t(1 << shift) + mv)[cross]
-        w = None if unit_w else g.ewgts[cross]
-    space.ledger.charge(
-        "construction",
-        KernelCost(
-            stream_bytes=3.0 * _B * g.m_directed + 2.0 * _B * g.n,
-            random_bytes=_B * g.m_directed,
-            launches=1,
-        ),
-    )
-    vwgts = coarse_vertex_weights(g, mapping, space)
+        key_w = (mu_w * key_t(1 << shift) + mv_w)[cross_w]
+        return key_w, None if unit_w else np.asarray(g.ewgts[e0:e1])[cross_w]
 
-    c = len(key)
-    with space.span("dedup", strategy="sort", skew_opt=False):
-        eng = t if t is not None and t.engaged(c) else None
-        if unit_w:
-            if eng is not None:
-                _tiles.parallel_sort(key, eng)
-            else:
-                key.sort()
-            key_s = key
+    parts = _tiles.row_window_map(g.xadj, _CONSTRUCT_BPE, window, g)
+    with contextlib.ExitStack() as stack:
+        if b is None:
+            keys, ws = zip(*parts)
+            key = _tiles.stitch(keys)
+            w = None if unit_w else _tiles.stitch(ws)
         else:
-            order, key_s = stable_key_sort(key, n_c << shift, eng=eng)
-        if c:
-            new_run = np.empty(c, dtype=bool)
-            new_run[0] = True
-            new_run[1:] = key_s[1:] != key_s[:-1]
-            first = np.flatnonzero(new_run)
-            pair_counts = np.diff(np.append(first, c)).astype(np.float64)
-            if unit_w:
-                # run lengths ARE the summed unit weights, bit-exactly
-                w_d = pair_counts
-            else:
-                w_d = np.add.reduceat(w[order], first).astype(WT, copy=False)
-            key_d = key_s[first]
-            cv = key_d & key_t((1 << shift) - 1)
-        else:
-            key_d = cv = np.zeros(0, dtype=VI)
-            w_d = np.zeros(0, dtype=WT)
+            arena = stack.enter_context(_chunked.SpillArena())
+            key, w = _spill(parts, arena, key_t, unit_w)
+        space.ledger.charge(
+            "construction",
+            KernelCost(
+                stream_bytes=3.0 * _B * g.m_directed + 2.0 * _B * g.n,
+                random_bytes=_B * g.m_directed,
+                launches=1,
+            ),
+        )
+        vwgts = coarse_vertex_weights(g, mapping, space)
+
+        c = len(key)
         # per-source-bin sizes of the *pre-dedup* cross edges, for the
         # sort/spill pricing.  The sorted key makes each source's run
         # contiguous, so the bins fall out of n_c binary searches for
         # the row boundaries instead of a scatter-add over all entries.
         row_bounds = np.arange(n_c + 1, dtype=key_t) << shift
-        bins = np.diff(np.searchsorted(key_s, row_bounds))
-        big = bins[bins > 1]
-        spill = 4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0
-        space.ledger.charge(
-            "construction",
-            KernelCost(
-                stream_bytes=4.0 * _B * c,
-                random_bytes=2.0 * _B * c,
-                sort_key_ops=sort_cost_keyops(bins),
-                spill_ops=spill,
-                launches=3,
-            ),
-        )
+        with space.span("dedup", strategy="sort", skew_opt=False):
+            if b is None:
+                t = _tiles.current()
+                eng = t if t is not None and t.engaged(c) else None
+                key_d, w_d, bins = _dedup_keys(key, w, n_c << shift, row_bounds, eng)
+            else:
+                key_d, w_d, bins = _dedup_spilled(
+                    key, w, n_c << shift, row_bounds,
+                    b.window_entries(_CONSTRUCT_BPE), arena,
+                )
+            cv = key_d & key_t((1 << shift) - 1)
+            big = bins[bins > 1]
+            spill = 4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0
+            space.ledger.charge(
+                "construction",
+                KernelCost(
+                    stream_bytes=4.0 * _B * c,
+                    random_bytes=2.0 * _B * c,
+                    sort_key_ops=sort_cost_keyops(bins),
+                    spill_ops=spill,
+                    launches=3,
+                ),
+            )
     space.ledger.charge(
         "construction",
         KernelCost(stream_bytes=4.0 * _B * len(cv), launches=1),
@@ -385,13 +366,49 @@ def _construct_sort_regular(g: CSRGraph, mapping: CoarseMapping, space: ExecSpac
     return CSRGraph(xadj, cv, w_d, vwgts, g.name)
 
 
+def _dedup_keys(key, w, key_bound, bounds, eng=None):
+    """Sort fused keys resident and merge equal-key runs.
+
+    Returns ``(distinct keys, summed weights, per-bin sizes)``; the bins
+    are the pre-dedup run sizes between consecutive ``bounds``.
+    ``w=None`` means unit weights: the run lengths ARE the summed
+    weights, bit-exactly, so the key sorts bare and in place.
+    """
+    c = len(key)
+    if w is None:
+        if eng is not None:
+            # bare keys are multiset-canonical: tiled runs + pairwise
+            # merges reproduce np.sort bitwise (see repro.parallel.tiles)
+            _tiles.parallel_sort(key, eng)
+        else:
+            key.sort()
+        key_s = key
+    else:
+        order, key_s = stable_key_sort(key, key_bound, eng=eng)
+    bins = np.diff(np.searchsorted(key_s, bounds))
+    if not c:
+        return np.zeros(0, dtype=VI), np.zeros(0, dtype=WT), bins
+    new_run = np.empty(c, dtype=bool)
+    new_run[0] = True
+    new_run[1:] = key_s[1:] != key_s[:-1]
+    first = np.flatnonzero(new_run)
+    if w is None:
+        w_d = np.diff(np.append(first, c)).astype(np.float64)
+    else:
+        # reduceat sums each equal-key run left to right — bitwise-equal
+        # to the sequential scatter-add merge sweep
+        w_d = np.add.reduceat(w[order], first).astype(WT, copy=False)
+    return key_s[first], w_d, bins
+
+
 # --------------------------------------------------------------------------
-# budgeted (out-of-core) variants
+# out-of-core dedup (an engaged budget)
 #
 # The streaming discipline that keeps these byte-identical to the
 # in-memory paths above:
 #
-# * windows are row-aligned, so every reduction segment lives in one
+# * the map sweeps are the same row-window bodies, run as budget-sized
+#   windows by the driver, so every reduction segment lives in one
 #   window and associates left-to-right exactly as the global call;
 # * partial bincounts of 0/1 weights sum exact integers (< 2^53), so
 #   accumulating them per window reproduces the one-shot bincount;
@@ -404,12 +421,19 @@ def _construct_sort_regular(g: CSRGraph, mapping: CoarseMapping, space: ExecSpac
 # --------------------------------------------------------------------------
 
 
-def _mapped_pair_window(m, g, degs, r0, r1, e0, e1):
-    """One window of the map sweep: ``(mu, mv, cross, adjncy slice)``."""
-    adj_w = np.asarray(g.adjncy[e0:e1])
-    mu_w = np.repeat(m[r0:r1], degs[r0:r1])
-    mv_w = m[adj_w]
-    return mu_w, mv_w, mu_w != mv_w, adj_w
+def _spill(parts, arena, key_t, unit_w):
+    """Append each window's ``(keys, weights)`` fragment to spill files.
+
+    Consumes the driver's windows one at a time; returns the finished
+    ``(key, weight)`` memmaps (weights ``None`` when ``unit_w``).
+    """
+    key_sf = arena.create("key", key_t)
+    w_sf = None if unit_w else arena.create("w", WT)
+    for key_w, w_w in parts:
+        key_sf.append(key_w)
+        if w_sf is not None:
+            w_sf.append(w_w)
+    return key_sf.finish(), None if w_sf is None else w_sf.finish()
 
 
 def _stream_pack_index(key_mm, arena, win, idx_bits):
@@ -429,114 +453,33 @@ def _packable(c: int, key_bound: int) -> tuple[bool, int]:
     return idx_bits + key_bits <= 63, idx_bits
 
 
-def _construct_sort_regular_budgeted(
-    g: CSRGraph, mapping: CoarseMapping, space: ExecSpace, b
-) -> CSRGraph:
-    """Out-of-core rendering of ``_construct_sort_regular``."""
-    b.note_engaged()
-    n_c = mapping.n_c
-    m = mapping.m
-    if g.n < (1 << 31):
-        m = m.astype(np.int32)
-    shift = max(1, int(n_c - 1).bit_length()) if n_c > 1 else 1
-    unit_w = g.has_unit_ewgts()
-    key_t = (
-        np.int32
-        if unit_w and m.dtype == np.int32 and (n_c << shift) < (1 << 31)
-        else np.int64
-    )
-    degs = g.degrees()
-    win = b.window_entries(_CONSTRUCT_BPE)
-    with _chunked.SpillArena() as arena:
-        key_sf = arena.create("key", key_t)
-        w_sf = None if unit_w else arena.create("w", WT)
-        for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
-            b.note_window(e1 - e0, _CONSTRUCT_BPE)
-            mu_w, mv_w, cross_w, _adj = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
-            key_sf.append((mu_w * key_t(1 << shift) + mv_w)[cross_w])
-            if not unit_w:
-                w_sf.append(np.asarray(g.ewgts[e0:e1])[cross_w])
-            _mapped.advise_dontneed(g)
-        space.ledger.charge(
-            "construction",
-            KernelCost(
-                stream_bytes=3.0 * _B * g.m_directed + 2.0 * _B * g.n,
-                random_bytes=_B * g.m_directed,
-                launches=1,
-            ),
-        )
-        vwgts = coarse_vertex_weights(g, mapping, space)
+def _dedup_spilled(key_mm, w_mm, key_bound, bounds, win, arena):
+    """Out-of-core :func:`_dedup_keys` over spilled keys (and weights).
 
-        c = len(key_sf)
-        key_mm = key_sf.finish()
-        row_bounds = np.arange(n_c + 1, dtype=key_t) << shift
-        with space.span("dedup", strategy="sort", skew_opt=False):
-            if unit_w:
-                key_s = _chunked.external_sort(key_mm, win, arena)
-                if c:
-                    key_d, counts = _chunked.unit_runs_stream(key_s, win)
-                    w_d = counts.astype(np.float64)
-                    cv = key_d & key_t((1 << shift) - 1)
-                else:
-                    key_d = cv = np.zeros(0, dtype=VI)
-                    w_d = np.zeros(0, dtype=WT)
-                bins = np.diff(np.searchsorted(key_s, row_bounds))
-            else:
-                w_mm = w_sf.finish()
-                ok, idx_bits = _packable(c, n_c << shift)
-                if ok:
-                    packed_mm = _stream_pack_index(key_mm, arena, win, idx_bits)
-                    packed_s = _chunked.external_sort(packed_mm, win, arena)
-                    if c:
-                        key_d, w_d = _chunked.weighted_runs_stream(
-                            packed_s, idx_bits, w_mm, win
-                        )
-                        w_d = w_d.astype(WT, copy=False)
-                        cv = key_d & np.int64((1 << shift) - 1)
-                    else:
-                        key_d = cv = np.zeros(0, dtype=VI)
-                        w_d = np.zeros(0, dtype=WT)
-                    bins = np.diff(
-                        np.searchsorted(
-                            packed_s, row_bounds.astype(np.int64) << np.int64(idx_bits)
-                        )
-                    )
-                else:  # packed word would overflow: sort the keys resident
-                    key = np.array(key_mm)
-                    w = np.array(w_mm)
-                    order, key_s = stable_key_sort(key, n_c << shift)
-                    if c:
-                        new_run = np.empty(c, dtype=bool)
-                        new_run[0] = True
-                        new_run[1:] = key_s[1:] != key_s[:-1]
-                        first = np.flatnonzero(new_run)
-                        w_d = np.add.reduceat(w[order], first).astype(WT, copy=False)
-                        key_d = key_s[first]
-                        cv = key_d & key_t((1 << shift) - 1)
-                    else:
-                        key_d = cv = np.zeros(0, dtype=VI)
-                        w_d = np.zeros(0, dtype=WT)
-                    bins = np.diff(np.searchsorted(key_s, row_bounds))
-            big = bins[bins > 1]
-            spill = (
-                4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0
-            )
-            space.ledger.charge(
-                "construction",
-                KernelCost(
-                    stream_bytes=4.0 * _B * c,
-                    random_bytes=2.0 * _B * c,
-                    sort_key_ops=sort_cost_keyops(bins),
-                    spill_ops=spill,
-                    launches=3,
-                ),
-            )
-        space.ledger.charge(
-            "construction",
-            KernelCost(stream_bytes=4.0 * _B * len(cv), launches=1),
-        )
-        xadj = np.searchsorted(key_d, row_bounds).astype(VI)
-        return CSRGraph(xadj, cv, w_d, vwgts, g.name)
+    External merge sort plus streamed run merging with ~``win`` entries
+    resident; weighted keys carry their spill position in the low bits
+    so the sorted words equal the stable argsort.  Falls back to the
+    resident sort when a packed word would overflow.
+    """
+    c = len(key_mm)
+    empty = np.zeros(0, dtype=VI), np.zeros(0, dtype=WT)
+    if w_mm is None:
+        key_s = _chunked.external_sort(key_mm, win, arena)
+        key_d, counts = _chunked.unit_runs_stream(key_s, win) if c else empty
+        return key_d, counts.astype(WT), np.diff(np.searchsorted(key_s, bounds))
+    ok, idx_bits = _packable(c, key_bound)
+    if not ok:
+        return _dedup_keys(np.array(key_mm), np.array(w_mm), key_bound, bounds)
+    packed_s = _chunked.external_sort(
+        _stream_pack_index(key_mm, arena, win, idx_bits), win, arena
+    )
+    key_d, w_d = (
+        _chunked.weighted_runs_stream(packed_s, idx_bits, w_mm, win) if c else empty
+    )
+    bins = np.diff(
+        np.searchsorted(packed_s, bounds.astype(np.int64) << np.int64(idx_bits))
+    )
+    return key_d, w_d.astype(WT, copy=False), bins
 
 
 def _construct_sort_skewed_budgeted(
@@ -544,7 +487,7 @@ def _construct_sort_skewed_budgeted(
 ) -> CSRGraph:
     """Out-of-core rendering of the skewed ``construct_sort`` path.
 
-    Two streaming passes over the edge windows: pass A accumulates the
+    Two row-window passes through the driver: pass A accumulates the
     cross count and the per-coarse-vertex cross-degree estimates
     (partial 0/1 bincounts sum exactly); pass B re-derives the mapped
     pair, applies the keep-side predicate with a per-window tie-break
@@ -552,24 +495,23 @@ def _construct_sort_skewed_budgeted(
     :meth:`~repro.csr.graph.CSRGraph.tie_mask`), and spills the kept
     dedup keys.
     """
-    b.note_engaged()
     n_c = mapping.n_c
     unit_w = g.has_unit_ewgts()
     m = mapping.m
     if g.n < (1 << 31):
         m = m.astype(np.int32)
     degs = g.degrees()
-    win = b.window_entries(_CONSTRUCT_BPE)
     idx_t = np.int32 if g.n < (1 << 31) else VI
 
-    c_count = 0
-    cp_acc = np.zeros(n_c, dtype=np.float64)
-    for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
-        b.note_window(e1 - e0, _CONSTRUCT_BPE)
+    def count(r0, r1, e0, e1):
         mu_w, _mv, cross_w, _adj = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
-        c_count += int(np.count_nonzero(cross_w))
-        cp_acc += np.bincount(mu_w, weights=cross_w, minlength=n_c)
-        _mapped.advise_dontneed(g)
+        return int(np.count_nonzero(cross_w)), np.bincount(mu_w, weights=cross_w, minlength=n_c)
+
+    c = 0
+    cp_acc = np.zeros(n_c, dtype=np.float64)
+    for c_w, cp_w in _tiles.row_window_map(g.xadj, _CONSTRUCT_BPE, count, g):
+        c += c_w
+        cp_acc += cp_w
     space.ledger.charge(
         "construction",
         KernelCost(
@@ -581,7 +523,6 @@ def _construct_sort_skewed_budgeted(
     vwgts = coarse_vertex_weights(g, mapping, space)
 
     with space.span("dedup", strategy="sort", skew_opt=True), _chunked.SpillArena() as arena:
-        c = c_count
         dt = np.int32 if c < (1 << 31) else VI
         c_prime = cp_acc.astype(dt)
         space.ledger.charge(
@@ -596,24 +537,24 @@ def _construct_sort_skewed_budgeted(
         shift = max(1, int(n_c - 1).bit_length()) if n_c > 1 else 1
         key_t = (
             np.int32
-            if m.dtype == np.int32 and (n_c << shift) < (1 << 31)
+            if unit_w and m.dtype == np.int32 and (n_c << shift) < (1 << 31)
             else np.int64
         )
         cp_fine = c_prime[mapping.m]
-        key_sf = arena.create("key", key_t if unit_w else np.int64)
-        w_sf = None if unit_w else arena.create("w", WT)
-        for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
+
+        def keep(r0, r1, e0, e1):
             mu_w, mv_w, cross_w, adj_w = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
             cu_est = np.repeat(cp_fine[r0:r1], degs[r0:r1])
             cv_est = cp_fine[adj_w]
             tie_w = np.repeat(np.arange(r0, r1, dtype=idx_t), degs[r0:r1]) < adj_w
             keep_w = cross_w & ((cu_est < cv_est) | ((cu_est == cv_est) & tie_w))
             if unit_w:
-                key_sf.append((mu_w * key_t(1 << shift) + mv_w)[keep_w])
-            else:
-                key_sf.append((mu_w * np.int64(n_c) + mv_w)[keep_w])
-                w_sf.append(np.asarray(g.ewgts[e0:e1])[keep_w])
-            _mapped.advise_dontneed(g)
+                return (mu_w * key_t(1 << shift) + mv_w)[keep_w], None
+            return (mu_w * np.int64(n_c) + mv_w)[keep_w], np.asarray(g.ewgts[e0:e1])[keep_w]
+
+        key_mm, w_mm = _spill(
+            _tiles.row_window_map(g.xadj, _CONSTRUCT_BPE, keep, g), arena, key_t, unit_w
+        )
         space.ledger.charge(
             "construction",
             KernelCost(
@@ -622,55 +563,20 @@ def _construct_sort_skewed_budgeted(
                 launches=1,
             ),
         )
-        total = len(key_sf)
-        key_mm = key_sf.finish()
+        total = len(key_mm)
+        win = b.window_entries(_CONSTRUCT_BPE)
         if unit_w:
-            key_s = _chunked.external_sort(key_mm, win, arena)
-            if total:
-                key_d, counts = _chunked.unit_runs_stream(key_s, win)
-                mu_d = key_d >> shift
-                mv_d = key_d & key_t((1 << shift) - 1)
-                w_d = counts.astype(WT)
-            else:
-                mu_d = mv_d = np.zeros(0, dtype=VI)
-                w_d = np.zeros(0, dtype=WT)
-            bins = np.diff(
-                np.searchsorted(key_s, np.arange(n_c + 1, dtype=key_t) << shift)
+            key_d, w_d, bins = _dedup_spilled(
+                key_mm, None, n_c << shift,
+                np.arange(n_c + 1, dtype=key_t) << shift, win, arena,
             )
+            mu_d, mv_d = key_d >> shift, key_d & key_t((1 << shift) - 1)
         else:
-            w_mm = w_sf.finish()
-            bounds = np.arange(n_c + 1, dtype=np.int64) * np.int64(n_c)
-            ok, idx_bits = _packable(total, n_c * n_c)
-            if ok:
-                packed_mm = _stream_pack_index(key_mm, arena, win, idx_bits)
-                packed_s = _chunked.external_sort(packed_mm, win, arena)
-                if total:
-                    key_d, w_d = _chunked.weighted_runs_stream(
-                        packed_s, idx_bits, w_mm, win
-                    )
-                    w_d = w_d.astype(WT, copy=False)
-                    mu_d = key_d // np.int64(n_c)
-                    mv_d = key_d % np.int64(n_c)
-                else:
-                    mu_d = mv_d = np.zeros(0, dtype=VI)
-                    w_d = np.zeros(0, dtype=WT)
-                bins = np.diff(np.searchsorted(packed_s, bounds << np.int64(idx_bits)))
-            else:  # packed word would overflow: sort the keys resident
-                mu_k = np.array(key_mm) // np.int64(n_c)
-                mv_k = np.array(key_mm) % np.int64(n_c)
-                w_k = np.array(w_mm)
-                order, key_s = stable_key_sort(np.array(key_mm), n_c * n_c)
-                if total:
-                    new_run = np.empty(total, dtype=bool)
-                    new_run[0] = True
-                    new_run[1:] = key_s[1:] != key_s[:-1]
-                    first = np.flatnonzero(new_run)
-                    w_d = np.add.reduceat(w_k[order], first).astype(WT, copy=False)
-                    mu_d, mv_d = mu_k[order][first], mv_k[order][first]
-                else:
-                    mu_d = mv_d = np.zeros(0, dtype=VI)
-                    w_d = np.zeros(0, dtype=WT)
-                bins = np.diff(np.searchsorted(key_s, bounds))
+            key_d, w_d, bins = _dedup_spilled(
+                key_mm, w_mm, n_c * n_c,
+                np.arange(n_c + 1, dtype=np.int64) * np.int64(n_c), win, arena,
+            )
+            mu_d, mv_d = key_d // np.int64(n_c), key_d % np.int64(n_c)
         big = bins[bins > 1]
         spill = (
             4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0

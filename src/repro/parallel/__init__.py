@@ -16,7 +16,6 @@ from .pool import (
     PoolOutcome,
     PoolTimeout,
     WorkerCrash,
-    default_jobs,
     format_pool_summary,
     publish_corpus,
     run_experiments,
@@ -52,7 +51,6 @@ __all__ = [
     "PoolOutcome",
     "PoolTimeout",
     "WorkerCrash",
-    "default_jobs",
     "format_pool_summary",
     "publish_corpus",
     "run_experiments",

@@ -56,7 +56,6 @@ __all__ = [
     "run_experiments",
     "publish_corpus",
     "task_weight",
-    "default_jobs",
     "format_pool_summary",
 ]
 
@@ -93,14 +92,6 @@ def task_weight(graph: str, seed: int, sizes: dict) -> int:
     if base_measured is not None:
         return int(base_measured) * scale
     return scale
-
-
-def default_jobs() -> int:
-    """Usable CPU count (affinity-aware) — the ``--jobs 0`` resolution."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)

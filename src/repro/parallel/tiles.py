@@ -13,10 +13,10 @@ repo-wide byte-determinism contract:
   (:func:`repro.storage.chunked.row_windows`), so every CSR row lies
   wholly inside one tile and segmented reductions associate exactly as
   the global ``np.add.reduceat`` call.
-* **Tile kernels write disjoint output slices** (``out[r0:r1]``) or
-  return per-tile fragments that are **reduced in tile order**
-  (:meth:`TileEngine.map_tiles` returns results in submission order
-  regardless of completion order).
+* **Window bodies return per-tile fragments that are reduced in tile
+  order** (:meth:`TileEngine.map_tiles` returns results in submission
+  order regardless of completion order); the sort runs of
+  :func:`parallel_sort` write disjoint slices.
 * **Ledger charges and trace spans are issued outside the tile loop**,
   with the same formulas in the same order as the serial path — tile
   passes never charge, exactly like budget windows.
@@ -27,12 +27,15 @@ shared :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy releases
 the GIL on the large array ops the tile kernels consist of, which is
 where the speedup comes from.
 
-Precedence: when a :mod:`repro.storage.budget` engages on a kernel, the
-budgeted windowed twin runs (unthreaded) — the resident-memory ceiling
-is the binding constraint, and running several windows concurrently
-would multiply the in-flight transient by the thread count.  A tile
-*is* a window with a constant size; the decompositions are shared, only
-the driver differs.
+:func:`row_window_map` is the one place a row-windowed kernel's
+execution policy is chosen.  Kernels write one window body; the driver
+runs it as budget-sized serial windows when a
+:mod:`repro.storage.budget` engages (the resident-memory ceiling is the
+binding constraint, and concurrent windows would multiply the in-flight
+transient by the thread count), as this engine's fixed row tiles when a
+:class:`TileEngine` engages, and otherwise as one window over the whole
+edge space.  A tile *is* a window with a constant size; the
+decompositions are shared, only the driver arm differs.
 
 The active engine is thread-local (the serve daemon dispatches requests
 on worker threads) with a process-global default installed by
@@ -56,7 +59,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ..storage import budget as _budget
 from ..storage import chunked as _chunked
+from ..storage import mapped as _mapped
 
 __all__ = [
     "DEFAULT_TILE_ENTRIES",
@@ -67,6 +72,9 @@ __all__ = [
     "limit",
     "parallel_sort",
     "resolve_threads",
+    "row_window_map",
+    "stitch",
+    "usable_cores",
 ]
 
 #: adjacency entries per tile.  A graph-shape constant: 64Ki entries of
@@ -115,11 +123,6 @@ class TileEngine:
         """
         return list(_chunked.row_windows(xadj, self.tile_entries))
 
-    def flat_tiles(self, n: int) -> list:
-        """Fixed-size ``(i0, i1)`` ranges over a flat array of length ``n``."""
-        step = self.tile_entries
-        return [(i, min(i + step, n)) for i in range(0, n, step)]
-
     # ---------------------------------------------------------- execution
 
     def _executor(self) -> ThreadPoolExecutor:
@@ -150,10 +153,6 @@ class TileEngine:
         ex = self._executor()
         futures = [ex.submit(_tile_call, fn, t) for t in tiles]
         return [f.result() for f in futures]
-
-    def run_tiles(self, fn, tiles) -> None:
-        """``map_tiles`` for disjoint-output kernels (results discarded)."""
-        self.map_tiles(fn, tiles)
 
     def close(self) -> None:
         with self._pool_lock:
@@ -233,6 +232,72 @@ def limit(engine: TileEngine | int | None):
             owned.close()
 
 
+# ------------------------------------------------------- row-window driver
+
+def row_window_map(xadj, bytes_per_entry: int, body, g=None):
+    """Run ``body(r0, r1, e0, e1)`` over row-aligned windows of ``xadj``.
+
+    The one place a row-windowed kernel's execution policy is chosen:
+
+    * an installed :class:`~repro.storage.budget.MemoryBudget` that
+      engages on ``bytes_per_entry`` transient bytes per entry: serial
+      budget-sized windows, each noted on the budget, with ``g``'s
+      mapped pages dropped after every window.  Results are yielded
+      lazily, so a caller that spills each one keeps one window's
+      output resident;
+    * an engaged :class:`TileEngine`: the engine's fixed row tiles, run
+      concurrently through :meth:`TileEngine.map_tiles`;
+    * otherwise one ``body(0, n, 0, m)`` call over the whole edge space.
+
+    Every arm returns body results in window (row) order.  Rows never
+    straddle windows, so a body whose per-row reductions associate
+    left to right produces the same bytes under every arm.
+    """
+    n = len(xadj) - 1
+    m = int(xadj[n])
+    b = _budget.current()
+    if b is not None and b.engages(bytes_per_entry * m):
+        b.note_engaged()
+        return _budget_windows(b, xadj, bytes_per_entry, body, g)
+    eng = current()
+    if eng is not None and eng.engaged(m):
+        return eng.map_tiles(body, eng.row_tiles(xadj))
+    return [body(0, n, 0, m)]
+
+
+def _budget_windows(b, xadj, bytes_per_entry, body, g):
+    for r0, r1, e0, e1 in _chunked.row_windows(xadj, b.window_entries(bytes_per_entry)):
+        b.note_window(e1 - e0, bytes_per_entry)
+        out = body(r0, r1, e0, e1)
+        if g is not None:
+            _mapped.advise_dontneed(g)
+        yield out
+
+
+def stitch(parts) -> np.ndarray:
+    """Concatenate per-window fragments in window order.
+
+    A lone fragment (the single-window arm) is returned uncopied.
+    """
+    parts = list(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+# ---------------------------------------------------------- thread counts
+
+def usable_cores() -> int:
+    """Cores this process may run on (affinity-aware).
+
+    The ``--threads 0`` / ``--jobs 0`` resolution and the cap that keeps
+    ``jobs x threads`` within the cpuset, which can be smaller than the
+    host's ``os.cpu_count()``.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return max(1, os.cpu_count() or 1)
+
+
 def resolve_threads(requested: int | None, *, env: dict | None = None) -> int:
     """``--threads`` resolution: None = ``REPRO_THREADS`` or 1; 0 = all cores."""
     if env is None:
@@ -243,10 +308,7 @@ def resolve_threads(requested: int | None, *, env: dict | None = None) -> int:
         except ValueError:
             requested = 1
     if requested == 0:
-        try:
-            return max(1, len(os.sched_getaffinity(0)))
-        except AttributeError:  # pragma: no cover - non-Linux
-            return max(1, os.cpu_count() or 1)
+        return usable_cores()
     return max(1, requested)
 
 
@@ -259,8 +321,7 @@ def clamp_threads(threads: int, jobs: int) -> int:
     """
     if jobs <= 1:
         return max(1, threads)
-    cores = os.cpu_count() or 1
-    return max(1, min(threads, cores // max(1, jobs)))
+    return max(1, min(threads, usable_cores() // max(1, jobs)))
 
 
 # ------------------------------------------------------- parallel sorting
@@ -288,7 +349,7 @@ def parallel_sort(a: np.ndarray, eng: TileEngine) -> np.ndarray:
     def sort_run(lo, hi):
         a[lo:hi].sort()
 
-    eng.run_tiles(sort_run, runs)
+    eng.map_tiles(sort_run, runs)
 
     def merge_pair(s, d, lo, mid, hi):
         if mid >= hi:  # lone tail run: copy through
@@ -313,7 +374,7 @@ def parallel_sort(a: np.ndarray, eng: TileEngine) -> np.ndarray:
                 mid = hi = runs[i][1]
             pairs.append((src, dst, lo, mid, hi))
             merged.append((lo, hi))
-        eng.run_tiles(merge_pair, pairs)
+        eng.map_tiles(merge_pair, pairs)
         runs = merged
         src, dst = dst, src
 

@@ -27,81 +27,38 @@ import numpy as np
 from ..csr.graph import CSRGraph
 from ..parallel.cost import KernelCost
 from ..parallel.execspace import ExecSpace
-from ..types import WT
+from ..parallel import tiles as _tiles
+from ..types import VI, WT
 from .metrics import edge_cut, partition_weights
 
 __all__ = ["fm_refine", "rebalance_exact", "compute_gains"]
 
-#: live temporaries per window entry of the budgeted gain pass (local
-#: source ids + gathered parts/mask + signed weights + window views)
+#: live temporaries per window entry of the gain pass (local source ids
+#: + gathered parts/mask + signed weights + window views)
 _GAIN_BPE = 4 * 8
 
 
-def _compute_gains_chunked(g: CSRGraph, part: np.ndarray, b) -> np.ndarray:
-    """Row-windowed FM gains, byte-identical to the global pass.
-
-    ``np.add.at`` accumulates strictly sequentially in entry order, and
-    ``edge_sources()`` is row-major, so row-aligned windows replay each
-    vertex's signed-weight accumulation in exactly the global order —
-    without ever materialising the full 2m source array (the last
-    edge-volume kernel outside ``--memory-budget`` coverage).
-    """
-    from ..storage import chunked as _chunked
-    from ..storage import mapped as _mapped
-
-    b.note_engaged()
-    gains = np.zeros(g.n, dtype=WT)
-    degs = g.degrees()
-    win = b.window_entries(_GAIN_BPE)
-    for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
-        b.note_window(e1 - e0, _GAIN_BPE)
-        local_src = np.repeat(np.arange(r1 - r0, dtype=np.int64), degs[r0:r1])
-        adj = np.asarray(g.adjncy[e0:e1])
-        w = np.asarray(g.ewgts[e0:e1])
-        ext_mask = part[r0:r1][local_src] != part[adj]
-        np.add.at(gains[r0:r1], local_src, np.where(ext_mask, w, -w))
-        _mapped.advise_dontneed(g)
-    return gains
-
-
-def _compute_gains_tiled(g: CSRGraph, part: np.ndarray, eng) -> np.ndarray:
-    """Tile-parallel FM gains, byte-identical to the global pass.
-
-    Row-aligned tiles replay each vertex's signed-weight accumulation in
-    entry order (``np.add.at`` is strictly sequential within a tile and
-    rows never straddle tiles), and tiles write disjoint
-    ``gains[r0:r1]`` slices.
-    """
-    gains = np.zeros(g.n, dtype=WT)
-    degs = g.degrees()
-
-    def tile(r0, r1, e0, e1):
-        local_src = np.repeat(np.arange(r1 - r0, dtype=np.int64), degs[r0:r1])
-        adj = np.asarray(g.adjncy[e0:e1])
-        w = np.asarray(g.ewgts[e0:e1])
-        ext_mask = part[r0:r1][local_src] != part[adj]
-        np.add.at(gains[r0:r1], local_src, np.where(ext_mask, w, -w))
-
-    eng.run_tiles(tile, eng.row_tiles(g.xadj))
-    return gains
-
-
 def compute_gains(g: CSRGraph, part: np.ndarray) -> np.ndarray:
-    """FM gain of every vertex: external minus internal incident weight."""
-    from ..parallel import tiles as _tiles
-    from ..storage import budget as _budget
+    """FM gain of every vertex: external minus internal incident weight.
 
-    b = _budget.current()
-    if b is not None and b.engages(_GAIN_BPE * g.m_directed):
-        return _compute_gains_chunked(g, part, b)
-    t = _tiles.current()
-    if t is not None and t.engaged(g.m_directed):
-        return _compute_gains_tiled(g, part, t)
-    src = g.edge_sources()
-    ext_mask = part[src] != part[g.adjncy]
-    gains = np.zeros(g.n, dtype=WT)
-    np.add.at(gains, src, np.where(ext_mask, g.ewgts, -g.ewgts))
-    return gains
+    One row-window body run through
+    :func:`repro.parallel.tiles.row_window_map`.  ``np.add.at``
+    accumulates strictly sequentially in entry order and rows never
+    straddle windows, so every window replays each vertex's
+    signed-weight accumulation in exactly the whole-graph order.
+    """
+    degs = g.degrees()
+
+    def window(r0, r1, e0, e1):
+        src = np.repeat(np.arange(r1 - r0, dtype=VI), degs[r0:r1])
+        adj = np.asarray(g.adjncy[e0:e1])
+        w = np.asarray(g.ewgts[e0:e1])
+        ext_mask = part[r0:r1][src] != part[adj]
+        gains = np.zeros(r1 - r0, dtype=WT)
+        np.add.at(gains, src, np.where(ext_mask, w, -w))
+        return gains
+
+    return _tiles.stitch(_tiles.row_window_map(g.xadj, _GAIN_BPE, window, g))
 
 
 def fm_refine(

@@ -29,6 +29,7 @@ _SUBCOMMANDS = ("serve", "request", "loadtest", "supervise")
 
 
 def _cmd_serve(args) -> int:
+    from ..parallel.tiles import resolve_threads
     from .server import Server, ServerConfig
 
     log_dir = args.log_dir
@@ -41,7 +42,7 @@ def _cmd_serve(args) -> int:
         queue_max=args.queue_max,
         batch_max=args.batch_max,
         jobs=args.jobs,
-        threads=_resolve_threads(args),
+        threads=resolve_threads(args.threads),
         max_graphs=args.max_graphs,
         max_hierarchies=args.max_hierarchies,
         drain_timeout=args.drain_timeout,
@@ -115,12 +116,6 @@ def _cmd_supervise(args) -> int:
         print(f"supervisor: daemon died (exit {rc}); respawning with "
               f"--recover ({restarts}/{args.max_restarts})", flush=True)
         recover = True
-
-
-def _resolve_threads(args) -> int:
-    from ..parallel.tiles import resolve_threads
-
-    return resolve_threads(getattr(args, "threads", None))
 
 
 def _cmd_request(args) -> int:

@@ -6,13 +6,14 @@ the edge-volume temporaries a hot kernel materialises while it runs
 row pointers, coarse outputs — and the hierarchy levels a run *returns*
 are deliberately exempt: they are the product, not the scratch.
 
-Kernels consult :func:`current` and, when
-:meth:`MemoryBudget.engages` says their in-memory temporaries would
-exceed the budget, switch to their chunked variants, which process
-row-aligned edge windows sized by :meth:`MemoryBudget.window_entries`
-and spill to disk.  Chunked and in-memory paths are byte-identical in
-results, ledger charges, and trace spans — the budget only changes
-*how*, never *what*.
+The row-window driver (:func:`repro.parallel.tiles.row_window_map`)
+consults :func:`current` and, when :meth:`MemoryBudget.engages` says a
+kernel's in-memory temporaries would exceed the budget, runs the
+kernel's window body over row-aligned edge windows sized by
+:meth:`MemoryBudget.window_entries`; ``construct_sort`` additionally
+spills its dedup keys to disk.  Windowed and in-memory runs are
+byte-identical in results, ledger charges, and trace spans — the
+budget only changes *how*, never *what*.
 
 The active budget is thread-local (the serve daemon dispatches requests
 on worker threads) and installed with the :func:`limit` context
@@ -58,7 +59,7 @@ class MemoryBudget:
     #: high-water mark of planned per-window transient bytes (telemetry;
     #: asserted in tests, never reported in result rows)
     peak_planned: int = field(default=0, compare=False)
-    #: how many kernel invocations actually engaged chunked execution
+    #: how many driver calls ran budget windows
     engaged: int = field(default=0, compare=False)
 
     def engages(self, transient_bytes: int) -> bool:

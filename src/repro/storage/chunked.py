@@ -1,4 +1,4 @@
-"""Streaming building blocks shared by the chunked kernel variants.
+"""Streaming building blocks for windowed and out-of-core execution.
 
 Everything here is engineered for *bit-exact* equivalence with the
 in-memory code it replaces:

@@ -183,22 +183,6 @@ class TestWallclockBaseline:
         doc = json.loads(path.read_text())
         assert set(doc["configs"]) == {"gpu:hec:sort:s0", "cpu:hec:sort:s0", "gpu:hem:sort:s0"}
 
-    def test_merge_adopts_legacy_schema1(self, tmp_path):
-        import json
-
-        from repro.bench import merge_wallclock_file, wallclock_key, wallclock_reference
-
-        path = tmp_path / "wall.json"
-        legacy = self._entry(0.19)  # schema-1: one top-level config dict
-        path.write_text(json.dumps(legacy))
-        # the legacy file gates its own key before any migration
-        assert wallclock_reference(legacy, "gpu:hec:sort:s0") is legacy
-        assert wallclock_reference(legacy, "cpu:hec:sort:s0") is None
-        merge_wallclock_file(path, wallclock_key("cpu", "hec", "sort", 0), self._entry(2.0))
-        doc = json.loads(path.read_text())
-        assert doc["configs"]["gpu:hec:sort:s0"]["per_graph_best_sum_s"] == 0.19
-        assert doc["configs"]["cpu:hec:sort:s0"]["per_graph_best_sum_s"] == 2.0
-
     def test_replace_same_key(self, tmp_path):
         import json
 

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.coarsen.hem import unmatched_heavy_neighbors
 from repro.csr import CSRGraph, from_edge_list, validate
 from repro.csr.update import apply_edges
+from repro.parallel import gpu_space
 from repro.partition.fm import compute_gains
 from repro.storage import budget as budget_mod
 from repro.storage.budget import MemoryBudget
 from repro.storage.mapped import open_mapped, write_mapped
+from repro.types import UNMAPPED, VI
 
 from .conftest import random_connected
 
@@ -187,6 +190,21 @@ class TestBudgetedKernelParity:
         assert b.engaged == 1
         assert b.peak_planned <= b.resident_bytes
         assert got.tobytes() == ref.tobytes()
+
+    def test_unmatched_heavy_neighbors_chunked(self):
+        g = random_connected(400, 900, seed=13, weighted=True)
+        m = np.full(g.n, UNMAPPED, dtype=VI)
+        m[::3] = np.arange(0, g.n, 3)  # a third already matched
+        queue = np.flatnonzero(m == UNMAPPED).astype(VI)
+        s1, s2 = gpu_space(0), gpu_space(0)
+        ref = unmatched_heavy_neighbors(g, m, queue, s1)
+        b = MemoryBudget(2048, min_window=32)
+        with budget_mod.limit(b):
+            got = unmatched_heavy_neighbors(g, m, queue, s2)
+        assert b.engaged == 1
+        assert b.peak_planned <= b.resident_bytes
+        assert got.tobytes() == ref.tobytes()
+        assert s1.ledger.phase("mapping").as_dict() == s2.ledger.phase("mapping").as_dict()
 
     def test_compute_gains_chunked_hub_row(self):
         # a row larger than any window must stay whole and still match

@@ -13,14 +13,14 @@ from repro.parallel.pool import (
     ExperimentTask,
     PoolTimeout,
     WorkerCrash,
-    default_jobs,
     format_pool_summary,
     publish_corpus,
     run_experiments,
     task_weight,
 )
+from repro.parallel.tiles import usable_cores
 
-CPUS = default_jobs()
+CPUS = usable_cores()
 
 
 class TestTaskWeight:

@@ -20,6 +20,7 @@ from repro.bench.harness import run_coarsening, run_partition, space_for
 from repro.coarsen.hec import heavy_neighbors, hec_parallel
 from repro.coarsen.hem import unmatched_heavy_neighbors
 from repro.construct import construct_sort
+from repro.csr import CSRGraph
 from repro.generators.kron import rmat
 from repro.parallel import tiles
 from repro.parallel.primitives import stable_key_sort
@@ -34,6 +35,7 @@ from repro.partition.applications import spectral_embedding
 from repro.partition.fm import compute_gains
 from repro.sparse.spmv import spmm, spmv
 from repro.storage import budget as budget_mod
+from repro.storage import chunked, mapped
 from repro.storage.budget import MemoryBudget
 from repro.types import UNMAPPED, VI
 
@@ -75,13 +77,6 @@ class TestTileBoundaries:
             assert r1 == n0 and e1 == ne0
         for r0, r1, e0, e1 in tl:
             assert e0 == big.xadj[r0] and e1 == big.xadj[r1]
-
-    def test_flat_tiles_cover(self):
-        eng = TileEngine(4, 7)
-        tl = eng.flat_tiles(23)
-        assert tl[0] == (0, 7) and tl[-1] == (21, 23)
-        assert sum(b - a for a, b in tl) == 23
-        assert tl == TileEngine(2, 7).flat_tiles(23)
 
     def test_tile_larger_than_graph_is_one_tile(self, big):
         eng = TileEngine(4, big.m_directed + 10)
@@ -176,7 +171,7 @@ class TestResolveClamp:
         assert resolve_threads(-3, env={}) == 1
 
     def test_clamp_threads(self):
-        cores = os.cpu_count() or 1
+        cores = tiles.usable_cores()
         assert clamp_threads(8, 1) == 8  # no pool: nothing to share with
         assert clamp_threads(8, 2) == max(1, min(8, cores // 2))
         assert clamp_threads(8, 10 * cores) == 1  # never below 1
@@ -188,6 +183,74 @@ class TestResolveClamp:
 
         got = _resolve_jobs(Namespace(jobs=10**6))
         assert got <= max(1, os.cpu_count() or 1)
+
+    def test_cpuset_smaller_than_host(self, monkeypatch):
+        """Caps follow the affinity mask, not the host's core count."""
+        from argparse import Namespace
+
+        from repro.bench.report import _resolve_jobs
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert clamp_threads(4, 2) == 1
+        assert _resolve_jobs(Namespace(jobs=8)) == 2
+
+
+# ------------------------------------------------------- row-window driver
+
+
+class TestRowWindowMap:
+    """``row_window_map`` is the one place a kernel's policy is chosen."""
+
+    def test_global_arm_is_one_call(self, big):
+        calls = []
+
+        def body(*window):
+            calls.append(window)
+            return len(calls)
+
+        assert tiles.row_window_map(big.xadj, 8, body) == [1]
+        assert calls == [(0, big.n, 0, big.m_directed)]
+
+    def test_budget_arm_yields_each_window_before_the_next(self, big, monkeypatch):
+        b = MemoryBudget(1 << 16)
+        events = []
+        monkeypatch.setattr(b, "note_engaged", lambda: events.append("engaged"))
+        monkeypatch.setattr(b, "note_window", lambda e, bpe: events.append(("note", e)))
+        monkeypatch.setattr(mapped, "advise_dontneed",
+                            lambda g: events.append(("advise", g.name)))
+
+        def body(r0, r1, e0, e1):
+            events.append(("run", r0))
+            return r0
+
+        eng = TileEngine(4, 4096)
+        with budget_mod.limit(b), tiles.limit(eng):
+            for r0 in tiles.row_window_map(big.xadj, 8, body, big):
+                events.append(("yield", r0))
+        windows = list(chunked.row_windows(big.xadj, b.window_entries(8)))
+        assert len(windows) > 1
+        want = ["engaged"]
+        for r0, _r1, e0, e1 in windows:
+            want += [("note", e1 - e0), ("run", r0), ("advise", big.name), ("yield", r0)]
+        assert events == want
+        assert eng.kernels == 0  # an engaged budget wins over tiles
+
+    def test_tile_arm_returns_tile_order(self, big):
+        import time
+
+        eng = TileEngine(4, 4096)
+
+        def body(r0, r1, e0, e1):
+            if r0 == 0:
+                time.sleep(0.01)  # the first tile finishes last
+            return (r0, r1, e0, e1)
+
+        with tiles.limit(eng):
+            got = tiles.row_window_map(big.xadj, 8, body)
+        eng.close()
+        assert got == eng.row_tiles(big.xadj)
+        assert len(got) > 1 and eng.kernels == 1
 
 
 # ------------------------------------------------------------ parallel sort
@@ -297,6 +360,17 @@ class TestKernelParity:
             got = unmatched_heavy_neighbors(big, m, queue, s2)
         assert got.tobytes() == want.tobytes()
         assert ledger_dict(s1) == ledger_dict(s2)
+
+    @pytest.mark.parametrize("te", TILE_SIZES)
+    def test_weighted_degrees(self, big, te):
+        rng = np.random.default_rng(4)
+        w = rng.uniform(0.5, 3.0, big.m_directed)
+        want = CSRGraph(big.xadj, big.adjncy, w, big.vwgts).weighted_degrees()
+        with tiles.limit(TileEngine(4, te)) as eng:
+            got = CSRGraph(big.xadj, big.adjncy, w, big.vwgts).weighted_degrees()
+        assert got.tobytes() == want.tobytes()
+        if te <= big.m_directed:
+            assert eng.kernels == 1
 
     @pytest.mark.parametrize("te", TILE_SIZES)
     def test_compute_gains(self, big, te):
@@ -485,31 +559,6 @@ class TestRssSchema:
         assert wallclock_key("gpu", "hec", "sort", 0, threads=2) == "gpu:hec:sort:s0:t2"
         assert wallclock_key("gpu", "hec", "sort", 0, jobs=2, threads=4) \
             == "gpu:hec:sort:s0:j2:t4"
-
-    def test_merge_adopts_legacy_schema1(self, tmp_path):
-        import json
-
-        from repro.bench.scale import merge_rss_file, rss_reference
-
-        legacy = {
-            "schema": 1,
-            "config": {"machine": "gpu", "coarsener": "hec",
-                       "constructor": "sort", "seed": 0, "tier": "x10"},
-            "per_graph": {"ppa@x10": {"peak_rss_mb": 88.0, "wall_s": 0.6}},
-        }
-        path = tmp_path / "rss.json"
-        path.write_text(json.dumps(legacy))
-        entry = {"config": {"tier": "x100"}, "threads": 1,
-                 "per_graph": {"ppa@x100": {"peak_rss_mb": 146.0, "wall_s": 1.0}}}
-        merge_rss_file(path, "gpu:hec:sort:s0:x100", entry)
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == 2
-        assert set(doc["configs"]) == {"gpu:hec:sort:s0:x10", "gpu:hec:sort:s0:x100"}
-        assert "schema" not in doc["configs"]["gpu:hec:sort:s0:x10"]
-        # lookups work against both the legacy doc and the merged one
-        assert rss_reference(legacy, "gpu:hec:sort:s0:x10")["per_graph"]
-        assert rss_reference(doc, "gpu:hec:sort:s0:x100") is entry or \
-            rss_reference(doc, "gpu:hec:sort:s0:x100") == entry
 
     def test_merge_replaces_same_key(self, tmp_path):
         import json
