@@ -87,8 +87,7 @@ def format_cache_stats(status: dict) -> str:
         f"  quarantined {status.get('quarantined_files', 0)}",
         f"  hits {c.get('hits', 0)}  misses {c.get('misses', 0)}"
         f"  regenerations {c.get('regenerations', 0)}"
-        f"  corruptions {c.get('corruptions', 0)}"
-        f"  migrations {c.get('migrations', 0)}",
+        f"  corruptions {c.get('corruptions', 0)}",
         f"  generation {c.get('generation_seconds', 0.0):.2f}s"
         f"  load {c.get('load_seconds', 0.0):.2f}s",
     ]

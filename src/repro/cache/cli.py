@@ -67,8 +67,7 @@ def cmd_status(cache: ArtifactCache, args) -> int:
     print(f"  misses       {c['misses']}")
     print(f"  regenerations {c['regenerations']}")
     print(f"  corruptions  {c['corruptions']}  stale {c['stale']}  "
-          f"quarantined {c['quarantines']}  migrations {c['migrations']}  "
-          f"evictions {c['evictions']}")
+          f"quarantined {c['quarantines']}  evictions {c['evictions']}")
     print(f"  io           {_fmt_bytes(c['bytes_read'])} read, "
           f"{_fmt_bytes(c['bytes_written'])} written")
     print(f"  time         {c['generation_seconds']:.2f}s generating, "

@@ -31,7 +31,6 @@ class CacheStats:
     corruptions: int = 0  #: unreadable / checksum-mismatched entries detected
     stale: int = 0  #: readable entries whose fingerprint no longer matches
     quarantines: int = 0  #: entries moved into quarantine/
-    migrations: int = 0  #: valid legacy-format entries adopted in place
     evictions: int = 0  #: entries removed by gc size capping
     store_failures: int = 0  #: entry writes that failed (run degraded on)
     bytes_written: int = 0

@@ -242,25 +242,17 @@ class ArtifactCache:
         load: Callable[[Path], object],
         *,
         ext: str = ".npz",
-        legacy_glob: str | None = None,
-        adopt_check: Callable[[object], None] | None = None,
     ):
         """Return the cached artifact for ``key``, healing as needed.
 
         Fast path: validate + load without locking.  On any defect the
         slow path runs under the entry's exclusive inter-process lock:
         re-validate (another worker may have rebuilt the entry while we
-        waited), quarantine whatever is broken or stale, adopt a valid
-        legacy-format file when ``legacy_glob`` matches one, and only
-        then pay ``generate()``.  ``save`` must write atomically (see
+        waited), quarantine whatever is broken or stale, and only then
+        pay ``generate()``.  ``save`` must write atomically (see
         :func:`repro.cache.atomic.atomic_write`); the sidecar is written
         after the data file so a crash between the two self-heals as a
         "missing sidecar" on the next read.
-
-        ``adopt_check`` deep-validates a legacy artifact *before* it is
-        adopted (legacy entries carry no fingerprint, so a structural
-        check is the only defence against corrupt-but-loadable files);
-        any exception it raises quarantines the candidate instead.
 
         A failing store (e.g. disk full) degrades instead of killing the
         caller: the freshly generated object is returned, the failure is
@@ -280,18 +272,6 @@ class ArtifactCache:
                 return obj
 
             had_entry = self._quarantine_bad_entry(key, fingerprint, ext, delta)
-            if legacy_glob is not None:
-                before_corrupt = delta.corruptions
-                obj = self._adopt_or_quarantine_legacy(
-                    key, fingerprint, load, ext, legacy_glob, delta, adopt_check
-                )
-                if obj is not None:
-                    self._stats.add(delta)
-                    return obj
-                # a quarantined corrupt legacy file counts as a prior entry:
-                # the rebuild below is a regeneration, not a cold miss
-                had_entry = had_entry or delta.corruptions > before_corrupt
-
             t0 = time.perf_counter()
             obj = generate()
             delta.generation_seconds += time.perf_counter() - t0
@@ -367,13 +347,6 @@ class ArtifactCache:
         self._stats.add(delta)
         return obj
 
-    def put(self, key: str, fingerprint: str, obj, save, *, ext: str = ".npz") -> None:
-        """Store ``obj`` unconditionally (atomic data + sidecar) under lock."""
-        delta = CacheStats()
-        with FileLock(self.lock_path(key)):
-            self._store(key, fingerprint, obj, save, ext, delta)
-        self._stats.add(delta)
-
     def _try_load(self, key, fingerprint, load, ext, delta: CacheStats):
         try:
             self.validate(key, fingerprint, ext)
@@ -406,46 +379,6 @@ class ArtifactCache:
         delta.quarantines += len(self.quarantine(data, meta))
         return True
 
-    def _adopt_or_quarantine_legacy(
-        self, key, fingerprint, load, ext, legacy_glob, delta, adopt_check=None
-    ):
-        """Handle pre-cache-era files: adopt if loadable, else quarantine.
-
-        Legacy entries predate sidecars, so their parameters cannot be
-        fingerprint-checked — adoption trusts that a cleanly-loading
-        legacy artifact was built by the same generator code, subject to
-        the caller's ``adopt_check`` deep validation when provided.
-        """
-        data = self.data_path(key, ext)
-        adopted = None
-        for p in sorted(self.root.glob(legacy_glob)):
-            if p == data or p.suffix == ".lock" or is_temp_file(p) or p.name.endswith(META_SUFFIX):
-                continue
-            if adopted is not None:
-                self.quarantine(p)
-                continue
-            try:
-                obj = load(p)
-            except LOAD_ERRORS:
-                delta.corruptions += 1
-                delta.quarantines += 1
-                self.quarantine(p)
-                continue
-            if adopt_check is not None:
-                try:
-                    adopt_check(obj)
-                except Exception:  # corrupt-but-loadable: structural defects
-                    delta.corruptions += 1
-                    delta.quarantines += 1
-                    self.quarantine(p)
-                    continue
-            os.replace(p, data)
-            self._write_sidecar(key, fingerprint, ext, generation_seconds=0.0)
-            delta.migrations += 1
-            delta.bytes_read += data.stat().st_size
-            adopted = obj
-        return adopted
-
     def _store(self, key, fingerprint, obj, save, ext, delta: CacheStats) -> None:
         faultinject.fire("cache.store", key=key)
         data = self.data_path(key, ext)
@@ -454,7 +387,7 @@ class ArtifactCache:
         delta.bytes_written += data.stat().st_size
         self._write_sidecar(key, fingerprint, ext)
 
-    def _write_sidecar(self, key, fingerprint, ext, generation_seconds: float | None = None) -> dict:
+    def _write_sidecar(self, key, fingerprint, ext) -> dict:
         digest, size = _sha256(self.data_path(key, ext))
         meta = {
             "schema": CACHE_SCHEMA,
@@ -465,8 +398,6 @@ class ArtifactCache:
             "size": size,
             "created": time.time(),
         }
-        if generation_seconds is not None:
-            meta["generation_seconds"] = generation_seconds
         atomic_write_bytes(
             self.meta_path(key),
             json.dumps(meta, indent=1, sort_keys=True).encode(),
@@ -477,9 +408,6 @@ class ArtifactCache:
     # ------------------------------------------------------- observability
     def stats(self) -> CacheStats:
         return self._stats.read()
-
-    def reset_stats(self) -> None:
-        self._stats.reset()
 
     def entries(self) -> list[dict]:
         """Sidecar dicts of every recorded entry, oldest first."""

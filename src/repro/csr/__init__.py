@@ -1,6 +1,6 @@
 """CSR graph substrate: container, builders, components, ops, and I/O."""
 
-from .build import empty, from_coo, from_edge_list, from_scipy, preprocess
+from .build import empty, from_edge_list, from_scipy, preprocess
 from .components import connected_components, is_connected, largest_component
 from .graph import CSRGraph
 from .io import load_npz, read_edge_list, read_matrix_market, save_npz, write_matrix_market
@@ -13,7 +13,6 @@ __all__ = [
     "EdgeDelta",
     "apply_edges",
     "empty",
-    "from_coo",
     "from_edge_list",
     "from_scipy",
     "preprocess",

@@ -13,7 +13,7 @@ import numpy as np
 from ..types import VI, WT, vi_array, wt_array
 from .graph import CSRGraph
 
-__all__ = ["from_edge_list", "from_coo", "from_scipy", "preprocess", "empty"]
+__all__ = ["from_edge_list", "from_scipy", "preprocess", "empty"]
 
 
 def empty(n: int = 0, name: str = "") -> CSRGraph:
@@ -106,11 +106,6 @@ def from_edge_list(
     if vwgts is None:
         vwgts = np.ones(n, dtype=WT)
     return CSRGraph(xadj, dst, wgt, wt_array(vwgts), name)
-
-
-def from_coo(n, src, dst, wgt=None, **kw) -> CSRGraph:
-    """Alias of :func:`from_edge_list` (COO triplet input)."""
-    return from_edge_list(n, src, dst, wgt, **kw)
 
 
 def from_scipy(mat, name: str = "") -> CSRGraph:

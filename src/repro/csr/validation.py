@@ -1,8 +1,8 @@
 """Structural validation of CSR graphs with structured findings.
 
-A corrupt-but-checksum-valid graph (bad generator, adopted legacy file,
-bit-rot that slipped past the cache) must fail *loudly* before it
-produces garbage coarsenings.  :func:`find_defects` checks every
+A corrupt-but-checksum-valid graph (bad generator, bit-rot that slipped
+past the cache) must fail *loudly* before it produces garbage
+coarsenings.  :func:`find_defects` checks every
 invariant of the paper's graph model and returns one structured finding
 per violated invariant; :func:`validate_graph` raises them as a single
 :class:`GraphValidationError` whose ``findings`` list is machine-readable

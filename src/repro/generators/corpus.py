@@ -167,8 +167,7 @@ def load(name: str, seed: int = 0, cache: bool = True) -> tuple[CSRGraph, GraphS
     fingerprint); a corrupt, truncated, or stale entry is quarantined
     and regenerated transparently, and concurrent workers generating the
     same graph serialise on a per-entry file lock so only one pays the
-    generation cost.  Pre-cache-era ``{name}-s{seed}-<version>.npz``
-    files are adopted when still readable, quarantined when not.
+    generation cost.
     """
     base, tier = parse_tier_name(name)
     if tier != "base":
@@ -184,11 +183,6 @@ def load(name: str, seed: int = 0, cache: bool = True) -> tuple[CSRGraph, GraphS
         generate=lambda: spec.generate(seed),
         save=save_npz,
         load=load_npz,
-        legacy_glob=f"{name}-s{seed}-*.npz",
-        # legacy files carry no fingerprint: deep-validate the structure
-        # before adoption so a corrupt-but-loadable graph is quarantined
-        # instead of producing garbage coarsenings
-        adopt_check=lambda graph: graph.validate(),
     )
     return g, spec
 

@@ -22,7 +22,6 @@ __all__ = [
     "segment_sum",
     "segment_max_index",
     "stable_key_sort",
-    "stable_key_argsort",
     "compact_nonnegative",
 ]
 
@@ -159,11 +158,6 @@ def stable_key_sort(key: np.ndarray, key_bound: int, eng=None) -> tuple[np.ndarr
         return packed & np.int64((1 << idx_bits) - 1), packed >> np.int64(idx_bits)
     order = np.argsort(key, kind="stable")
     return order, key[order]
-
-
-def stable_key_argsort(key: np.ndarray, key_bound: int) -> np.ndarray:
-    """The permutation half of :func:`stable_key_sort`."""
-    return stable_key_sort(key, key_bound)[0]
 
 
 def compact_nonnegative(arr: np.ndarray, space: ExecSpace | None = None, phase: str = "mapping") -> np.ndarray:

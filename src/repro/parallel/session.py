@@ -1,11 +1,17 @@
 """Fault-tolerant experiment sessions: journal, resume, retry, degrade.
 
-The paper's sweeps are hours-long cross-products of independent tasks;
-:mod:`repro.parallel.pool` fans them out but fast-fails the whole run on
-the first crashed worker or wedged pool.  This module wraps the same
-task model in a failure-state machine so **no single fault costs more
-than one task's work**:
+The paper's sweeps are hours-long cross-products of independent tasks
+(the task model lives in :mod:`repro.parallel.pool`).  :func:`run_session`
+is the one executor that runs them, inline or over supervised worker
+processes, inside a failure-state machine so **no single fault costs
+more than one task's work**:
 
+* **Deterministic merge.**  Results are keyed by task configuration and
+  re-emitted in the caller's task order, never in completion order —
+  the merged results, ledger totals, and trace rollups are bitwise
+  identical to a serial run at any ``jobs`` value and any interleave.
+  Largest graph first (LPT) scheduling keeps a long-running graph from
+  ending up as the lone straggler behind a drained queue.
 * **Session journal + resume.**  Every completed task is appended to an
   fsynced JSONL journal (key, attempt, scalar row, rollup digest).  A
   session restarted with the same task set replays completed rows from
@@ -14,7 +20,7 @@ than one task's work**:
   of their configuration.
 * **Retry with quarantine.**  A failed attempt is retried up to
   ``retries`` times with capped exponential backoff whose schedule is a
-  pure function of ``(key, attempt, seed)`` — no wall-clock randomness.
+  pure function of ``(key, attempt)`` — no wall-clock randomness.
   A task that exhausts its retries is quarantined into the journal with
   its error and the session completes the rest, reporting ``failed``
   instead of raising.
@@ -54,7 +60,6 @@ from ..cache.atomic import atomic_write_bytes, fsync_dir
 from ..cache.store import fingerprint_payload
 from .pool import (
     ExperimentTask,
-    PoolTimeout,
     _check_unique,
     _release,
     _run_task,
@@ -323,14 +328,11 @@ class _Worker:
 class _SessionState:
     """Bookkeeping shared by the pool and serial engines."""
 
-    def __init__(self, tasks, keys, *, retries, backoff_base, backoff_cap,
-                 backoff_seed, journal):
+    def __init__(self, tasks, keys, *, retries, backoff_base, journal):
         self.tasks = tasks
         self.keys = keys
         self.retries = retries
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.backoff_seed = backoff_seed
         self.journal = journal
         self.by_key: dict[str, dict] = {}
         self.workers: dict[int, dict] = {}
@@ -395,10 +397,7 @@ class _SessionState:
             self.journal_append({"type": "quarantine", **entry})
             return
         self.retried += 1
-        delay = backoff_delay(
-            key, attempt, base=self.backoff_base, cap=self.backoff_cap,
-            seed=self.backoff_seed,
-        )
+        delay = backoff_delay(key, attempt, base=self.backoff_base)
         heapq.heappush(pending, (now + delay, self.next_order(), idx, attempt + 1))
 
 
@@ -411,11 +410,9 @@ def _run_one(task_fn, task, attempt):
     return out
 
 
-def _serial_drain(state: _SessionState, pending: list, task_fn, deadline) -> None:
+def _serial_drain(state: _SessionState, pending: list, task_fn) -> None:
     """Run the pending queue inline, honouring backoff and retries."""
     while pending:
-        if deadline is not None and time.monotonic() > deadline:
-            raise PoolTimeout("session exceeded its wall-clock budget (serial path)")
         ready_at, _order, idx, attempt = heapq.heappop(pending)
         wait = ready_at - time.monotonic()
         if wait > 0:
@@ -445,15 +442,14 @@ def _spawn_workers(state, ctx, descriptors, task_fn, jobs, threads=None):
 
 
 def _pool_drain(state: _SessionState, pending: list, *, jobs, descriptors,
-                task_fn, mp_context, task_timeout, deadline,
-                threads=None) -> list:
+                task_fn, task_timeout, threads=None) -> list:
     """Drain the pending queue over supervised workers.
 
     Returns a (possibly empty) list of still-pending entries — non-empty
     only when the pool degraded away entirely and the caller should
     finish serially.
     """
-    ctx = mp_context or mp.get_context(
+    ctx = mp.get_context(
         "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     )
     workers = _spawn_workers(state, ctx, descriptors, task_fn, jobs, threads)
@@ -484,10 +480,6 @@ def _pool_drain(state: _SessionState, pending: list, *, jobs, descriptors,
     try:
         while pending or any(w.busy for w in workers):
             now = time.monotonic()
-            if deadline is not None and now > deadline:
-                raise PoolTimeout(
-                    "session exceeded its wall-clock budget (pool path)"
-                )
 
             # hand ready tasks to idle workers
             for i, w in enumerate(workers):
@@ -510,12 +502,12 @@ def _pool_drain(state: _SessionState, pending: list, *, jobs, descriptors,
                         return fail_over_to_serial()
 
             busy = [w for w in workers if w.busy]
-            # earliest of: next backoff release, per-task hang deadline,
-            # session deadline — bounded so supervision never sleeps past
-            # an event it must react to.  The backoff release only
-            # matters while a worker is idle to take the task; with
-            # every worker busy it would clamp the wait to 0s and spin
-            # the supervisor against the workers it supervises
+            # earliest of: next backoff release, per-task hang deadline —
+            # bounded so supervision never sleeps past an event it must
+            # react to.  The backoff release only matters while a worker
+            # is idle to take the task; with every worker busy it would
+            # clamp the wait to 0s and spin the supervisor against the
+            # workers it supervises
             timeouts = []
             if pending and len(busy) < len(workers):
                 timeouts.append(max(0.0, pending[0][0] - now))
@@ -523,8 +515,6 @@ def _pool_drain(state: _SessionState, pending: list, *, jobs, descriptors,
                 timeouts.extend(
                     max(0.0, w.started + task_timeout - now) for w in busy
                 )
-            if deadline is not None:
-                timeouts.append(max(0.0, deadline - now))
             if not busy:
                 if pending:
                     time.sleep(min(timeouts) if timeouts else 0.01)
@@ -622,28 +612,24 @@ def run_session(
     session_dir=None,
     retries: int = 2,
     backoff_base: float = 0.25,
-    backoff_cap: float = 5.0,
-    backoff_seed: int = 0,
     task_timeout: float | None = None,
-    timeout: float | None = None,
-    share_corpus: bool = True,
     task_fn: Callable | None = None,
-    mp_context=None,
     validate_corpus: bool = False,
-    durable: bool = True,
     descriptors: dict | None = None,
     threads: int | None = None,
 ) -> SessionOutcome:
     """Run ``tasks`` fault-tolerantly; merge deterministically.
 
-    The drop-in, hardened sibling of
-    :func:`repro.parallel.pool.run_experiments`: same task model, same
-    deterministic configuration-keyed merge (results in caller task
-    order, byte-identical at any ``jobs``), plus the journal/resume,
+    ``jobs <= 1`` runs everything inline in this process (the serial
+    reference path); larger values fan out over supervised workers
+    seeded with the shared-memory corpus.  Results come back in caller
+    task order, byte-identical at any ``jobs``, with the journal/resume,
     retry/quarantine, and degradation machinery described in the module
-    docstring.  ``session_dir`` enables the journal; passing the same
-    directory again resumes.  Quarantined tasks appear in
-    ``outcome.failed`` (and ``summary["failed"]``) instead of raising.
+    docstring.  Task keys must be unique (``ValueError`` otherwise).
+    ``session_dir`` enables the journal; passing the same directory
+    again resumes.  Quarantined tasks appear in ``outcome.failed`` (and
+    ``summary["failed"]``) instead of raising.  ``task_fn`` replaces the
+    harness run of one task (a picklable ``task -> envelope`` callable).
 
     ``descriptors`` passes pre-published shared-memory corpus blocks
     (the serving daemon's resident registry); the session then skips
@@ -658,18 +644,16 @@ def run_session(
     """
     from . import tiles
     tasks = list(tasks)
-    if task_fn is None:
-        _check_unique(tasks)
+    _check_unique(tasks)
     keys = [t.key() for t in tasks]
     t_start = time.perf_counter()
-    deadline = None if timeout is None else time.monotonic() + timeout
 
     journal = None
     if session_dir is not None:
-        journal = SessionJournal(session_dir, durable=durable)
+        journal = SessionJournal(session_dir)
     state = _SessionState(
         tasks, keys, retries=retries, backoff_base=backoff_base,
-        backoff_cap=backoff_cap, backoff_seed=backoff_seed, journal=journal,
+        journal=journal,
     )
 
     if journal is not None:
@@ -713,7 +697,6 @@ def run_session(
                      "jobs": jobs, "retries": retries},
                     indent=1, sort_keys=True,
                 ).encode(),
-                durable=durable,
             )
 
     remaining = [i for i, k in enumerate(keys) if k not in state.by_key]
@@ -741,7 +724,7 @@ def run_session(
                 key: d["nbytes"] for key, d in descriptors.items()
             }
             shared_bytes = sum(sizes.values())
-            if not descriptors and share_corpus and task_fn is None:
+            if not descriptors and task_fn is None:
                 try:
                     descriptors, handles, sizes = publish_corpus(
                         (tasks[i].graph, tasks[i].seed) for i in remaining
@@ -764,8 +747,7 @@ def run_session(
             state._order = len(pending)
             leftover = _pool_drain(
                 state, pending, jobs=eff_jobs, descriptors=descriptors,
-                task_fn=task_fn, mp_context=mp_context,
-                task_timeout=task_timeout, deadline=deadline,
+                task_fn=task_fn, task_timeout=task_timeout,
                 threads=worker_threads,
             )
             if leftover:
@@ -773,7 +755,7 @@ def run_session(
                 # any) in-process so the drain still maps zero-copy
                 _worker_init(descriptors, worker_threads)
                 try:
-                    _serial_drain(state, leftover, task_fn, deadline)
+                    _serial_drain(state, leftover, task_fn)
                 finally:
                     # drop the parent's zero-copy attachments *before*
                     # the handles are unlinked, so teardown order never
@@ -784,7 +766,7 @@ def run_session(
             pending = [(0.0, pos, idx, 0) for pos, idx in enumerate(remaining)]
             heapq.heapify(pending)
             state._order = len(pending)
-            _serial_drain(state, pending, task_fn, deadline)
+            _serial_drain(state, pending, task_fn)
     except BaseException:
         if journal is not None:
             journal.append({"type": "abort"})
@@ -794,10 +776,7 @@ def run_session(
         _release(handles)
 
     wall = time.perf_counter() - t_start
-    if task_fn is None:
-        results = [state.by_key[k] for k in keys if k in state.by_key]
-    else:
-        results = list(state.by_key.values())
+    results = [state.by_key[k] for k in keys if k in state.by_key]
     failed = [state.quarantined[i] for i in sorted(state.quarantined)]
     summary = {
         "jobs": eff_jobs,

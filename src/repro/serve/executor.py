@@ -3,7 +3,8 @@
 The invariant everything here protects: **a served row is byte-identical
 to the batch CLI's row for the same configuration.**  The executor
 therefore runs the *same* harness functions with the *same* argument
-plumbing as :func:`repro.parallel.pool._execute`; the only additions
+plumbing as :func:`repro.parallel.pool._execute` and builds the row with
+the same :func:`repro.parallel.pool.row_from_result`; the only additions
 are the hierarchy-reuse handle (whose tape replay is bitwise neutral,
 see :mod:`repro.trace.tape`) and response metadata that never enters
 the row.
@@ -32,7 +33,7 @@ from ..bench.harness import (
     run_partition_kway,
 )
 from ..parallel.memory import SimulatedOOM
-from ..parallel.pool import ExperimentTask, _scalar_row
+from ..parallel.pool import ExperimentTask, row_from_result
 from .journal import PoisonTracker, request_digest, tape_digest
 from .protocol import error_response, ok_response
 from .registry import GraphRegistry, HierarchyCache, hierarchy_key
@@ -42,15 +43,6 @@ __all__ = ["ServeExecutor"]
 #: bound on the in-memory idempotency table (journal-backed entries are
 #: reloaded on recovery, so the bound only limits live-process dedup)
 MAX_IDEM_ENTRIES = 1024
-
-
-def _row_from_result(result: dict) -> dict:
-    """Scalar row + serialized trace — exactly pool.py's row shape."""
-    row = _scalar_row(result)
-    tracer = result.get("trace")
-    if tracer is not None:
-        row["trace"] = tracer.to_dict() if hasattr(tracer, "to_dict") else tracer
-    return row
 
 
 def request_key(req: dict) -> str:
@@ -232,7 +224,7 @@ class ServeExecutor:
         else:  # pragma: no cover - validate_request guards this
             return error_response(f"unknown op {req['op']!r}")
 
-        row = _row_from_result(result)
+        row = row_from_result(result)
         meta = {"hierarchy": "hit" if cached_before else "build"}
         if result.get("oom"):
             meta["hierarchy"] = "oom"

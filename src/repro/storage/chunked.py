@@ -75,9 +75,6 @@ class SpillFile:
         self._f.write(arr.tobytes())
         self._count += len(arr)
 
-    def __len__(self) -> int:
-        return self._count
-
     def finish(self) -> np.ndarray:
         """Close for writing; reopen as a writable (``r+``) memmap."""
         self._f.close()

@@ -51,6 +51,3 @@ class GraphStore:
             lambda path: open_mapped(path, name=name),
             ext=MAPPED_EXT,
         )
-
-    def path(self, key: str) -> Path:
-        return self.cache.data_path(key, MAPPED_EXT)

@@ -187,11 +187,6 @@ class Tracer:
 
     # ----------------------------------------------------------- queries
 
-    @property
-    def clock(self) -> float:
-        """Current simulated time (sum of all observed charges)."""
-        return self._clock
-
     def phases(self) -> list[str]:
         return list(self._phase_totals)
 

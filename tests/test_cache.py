@@ -370,6 +370,26 @@ class TestStats:
         assert total.hits == 3 and total.misses == 1
         assert total.generation_seconds == pytest.approx(0.75)
 
+    def test_unknown_counter_keys_ignored(self, tmp_path):
+        """A ledger holding a counter this build does not define (e.g.
+        ``migrations`` in a cache directory restored from an older run)
+        reads without error, and ``cache status`` still exits 0."""
+        (tmp_path / "stats.json").write_text(
+            json.dumps({"hits": 2, "migrations": 3})
+        )
+        assert ArtifactCache(tmp_path).stats() == CacheStats(hits=2)
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        for flags in ([], ["--json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cache", "--dir", str(tmp_path),
+                 *flags, "status"],
+                env=env, cwd=REPO_ROOT, capture_output=True, text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+        counters = json.loads(proc.stdout)["counters"]
+        assert counters["hits"] == 2 and "migrations" not in counters
+
 
 class TestQuarantineStamp:
     """pid + per-process-counter stamps: no collisions, never clobber."""

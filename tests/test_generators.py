@@ -186,20 +186,6 @@ class TestCorpus:
         stats = c._get_cache().stats()
         assert stats.stale == 1 and stats.regenerations == 1
 
-    def test_legacy_versioned_file_is_adopted(self, tmp_path, monkeypatch):
-        import repro.generators.corpus as c
-        from repro.csr.io import save_npz
-
-        monkeypatch.setattr(c, "_CACHE_DIR", tmp_path)
-        g = c._BY_NAME["ppa"].generate(0)
-        save_npz(g, tmp_path / "ppa-s0-2.npz")  # pre-cache-era naming
-        g2, _ = load("ppa")
-        assert np.array_equal(g.adjncy, g2.adjncy)
-        stats = c._get_cache().stats()
-        assert stats.migrations == 1 and stats.misses == 0
-        assert not (tmp_path / "ppa-s0-2.npz").exists()
-        assert (tmp_path / "ppa-s0.npz").exists()
-
     def test_unknown_graph(self):
         with pytest.raises(KeyError, match="unknown corpus graph"):
             load("nonexistent")

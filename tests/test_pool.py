@@ -1,9 +1,12 @@
-"""Multiprocess experiment executor: determinism, shm corpus, failure modes."""
+"""Experiment task model and executor: determinism, shm corpus, LPT.
+
+Executor cases run through :func:`repro.parallel.session.run_session`
+with ``retries=0``, so a failure surfaces as one quarantined attempt.
+"""
 
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
@@ -11,13 +14,11 @@ from repro.bench.report import main as bench_main
 from repro.generators import corpus
 from repro.parallel.pool import (
     ExperimentTask,
-    PoolTimeout,
-    WorkerCrash,
     format_pool_summary,
     publish_corpus,
-    run_experiments,
     task_weight,
 )
+from repro.parallel.session import run_session
 from repro.parallel.tiles import usable_cores
 
 CPUS = usable_cores()
@@ -94,8 +95,8 @@ class TestDeterministicMerge:
             for g in ("ppa", "citation")
             for c in ("hec", "hem")
         ]
-        serial = run_experiments(tasks, jobs=1)
-        pooled = run_experiments(tasks, jobs=2)
+        serial = run_session(tasks, jobs=1, retries=0)
+        pooled = run_session(tasks, jobs=2, retries=0)
         # full row equality: scalar fields AND the trace dict (span tree,
         # rollups, ledger totals) must match the serial reference exactly
         assert serial.results == pooled.results
@@ -107,13 +108,13 @@ class TestDeterministicMerge:
             ExperimentTask(kind="coarsen", graph=g)
             for g in ("ppa", "kron21", "citation")
         ]
-        out = run_experiments(tasks, jobs=2)
+        out = run_session(tasks, jobs=2, retries=0)
         assert [r["graph"] for r in out.results] == ["ppa", "kron21", "citation"]
 
     def test_duplicate_config_rejected(self):
         tasks = [ExperimentTask(kind="coarsen", graph="ppa")] * 2
         with pytest.raises(ValueError, match="duplicate task configuration"):
-            run_experiments(tasks, jobs=1)
+            run_session(tasks, jobs=1, retries=0)
 
 
 class TestPoolSummary:
@@ -121,7 +122,7 @@ class TestPoolSummary:
         tasks = [
             ExperimentTask(kind="coarsen", graph="ppa", seed=s) for s in range(3)
         ]
-        out = run_experiments(tasks, jobs=2)
+        out = run_session(tasks, jobs=2, retries=0)
         s = out.summary
         assert s["jobs"] == 2 and s["tasks"] == 3
         assert s["wall_s"] > 0 and s["busy_s"] > 0
@@ -133,7 +134,9 @@ class TestPoolSummary:
         assert "worker" in text and "utilization" in text
 
     def test_serial_summary(self):
-        out = run_experiments([ExperimentTask(kind="coarsen", graph="ppa")], jobs=1)
+        out = run_session(
+            [ExperimentTask(kind="coarsen", graph="ppa")], jobs=1, retries=0
+        )
         assert out.summary["jobs"] == 1
         assert out.summary["shared_mib"] == 0.0
         assert len(out.summary["workers"]) == 1
@@ -152,14 +155,6 @@ class TestSharedCorpus:
             for shm in handles:
                 shm.close()
                 shm.unlink()
-
-
-def _crash_task(task):  # noqa: ARG001 - pool task signature
-    os._exit(13)
-
-
-def _sleepy_task(task):  # noqa: ARG001 - pool task signature
-    time.sleep(600)
 
 
 def _load_graph_task(task):
@@ -184,27 +179,14 @@ def _tiny_factory(seed):
 
 
 class TestFailureSurfacing:
-    def test_worker_crash_raises_instead_of_hanging(self):
-        tasks = [ExperimentTask(kind="coarsen", graph="ppa", seed=s) for s in range(4)]
-        t0 = time.monotonic()
-        with pytest.raises(WorkerCrash, match="worker process died"):
-            run_experiments(
-                tasks, jobs=2, task_fn=_crash_task, share_corpus=False, timeout=120
-            )
-        assert time.monotonic() - t0 < 60
-
-    def test_pool_timeout_terminates_workers(self):
-        tasks = [ExperimentTask(kind="coarsen", graph="ppa")]
-        t0 = time.monotonic()
-        with pytest.raises(PoolTimeout, match="wall-clock budget"):
-            run_experiments(
-                tasks, jobs=2, task_fn=_sleepy_task, share_corpus=False, timeout=1.0
-            )
-        assert time.monotonic() - t0 < 60
-
     def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown task kind"):
-            run_experiments([ExperimentTask(kind="nope", graph="ppa")], jobs=1)
+        """The task's ValueError is quarantined, not raised out of the run."""
+        out = run_session(
+            [ExperimentTask(kind="nope", graph="ppa")], jobs=1, retries=0
+        )
+        assert out.results == []
+        assert out.failed[0]["kind"] == "ValueError"
+        assert "unknown task kind" in out.failed[0]["error"]
 
 
 class TestSingleFlight:
@@ -229,9 +211,7 @@ class TestSingleFlight:
             for m in ("gpu", "cpu")
             for c in ("hec", "hem")
         ]
-        out = run_experiments(
-            tasks, jobs=4, task_fn=_load_graph_task, share_corpus=False, timeout=120
-        )
+        out = run_session(tasks, jobs=4, retries=0, task_fn=_load_graph_task)
         assert len(out.results) == 4
         assert all(r["n"] == 32 for r in out.results)
         assert len(gen_log.read_text().splitlines()) == 1
@@ -249,7 +229,7 @@ class TestSpeedup:
                            reps=5, warmup=1)
             for spec in corpus.CORPUS
         ]
-        serial = run_experiments(tasks, jobs=1)
-        pooled = run_experiments(tasks, jobs=4)
+        serial = run_session(tasks, jobs=1, retries=0)
+        pooled = run_session(tasks, jobs=4, retries=0)
         speedup = serial.summary["wall_s"] / pooled.summary["wall_s"]
         assert speedup >= 2.5, f"--jobs 4 speedup only x{speedup:.2f}"

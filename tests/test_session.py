@@ -126,6 +126,14 @@ def _failing_task(task):
     raise ValueError(f"boom {task.graph}")
 
 
+def _slow_first_task(task):
+    """Picklable test task: the first of TASKS finishes last."""
+    if task.graph == TASKS[0].graph:
+        time.sleep(1.0)
+    return {"key": task.key(), "pid": os.getpid(), "wall_s": 0.0,
+            "row": {"graph": task.graph}}
+
+
 class TestResume:
     def _runs(self, tmp_path, graph):
         p = tmp_path / f"{graph}.count"
@@ -272,6 +280,11 @@ class TestSupervisedPool:
         assert out.failed[0]["kind"] == "WorkerCrash"
         assert "exit code 70" in out.failed[0]["error"]
         assert [r["graph"] for r in out.results] == ["citation"]
+        _no_leaks()
+
+    def test_task_fn_rows_follow_task_order_not_completion_order(self):
+        out = run_session(TASKS, jobs=2, retries=0, task_fn=_slow_first_task)
+        assert [r["graph"] for r in out.results] == [t.graph for t in TASKS]
         _no_leaks()
 
 
@@ -619,25 +632,6 @@ class TestGraphValidation:
         with pytest.raises(GraphValidationError, match="invalid graph") as exc:
             g.validate()
         assert any(f["code"] == "self-loop" for f in exc.value.findings)
-
-    def test_corrupt_legacy_cache_entry_quarantined_on_adoption(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.generators.corpus as c
-        from repro.csr.io import save_npz
-
-        monkeypatch.setattr(c, "_CACHE_DIR", tmp_path)
-        good = c._BY_NAME["ppa"].generate(0)
-        # loadable but structurally corrupt: negative edge weights
-        bad = CSRGraph(good.xadj, good.adjncy, -np.asarray(good.ewgts),
-                       good.vwgts, good.name)
-        save_npz(bad, tmp_path / "ppa-s0-2.npz")  # pre-cache-era naming
-        g, _spec = c.load("ppa")
-        g.validate()  # the served graph is the regenerated, valid one
-        stats = c._get_cache().stats()
-        assert stats.quarantines == 1 and stats.migrations == 0
-        assert not (tmp_path / "ppa-s0-2.npz").exists()
-        assert (tmp_path / "quarantine").exists()
 
 
 class TestSignalCleanup:

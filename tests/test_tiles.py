@@ -499,14 +499,15 @@ class TestPoolComposition:
             tiles.configure(1)
 
     def test_run_experiments_threads_parity(self, big):
-        """The pool summary path with threads composes with jobs=1."""
-        from repro.parallel.pool import ExperimentTask, run_experiments
+        """The session summary path with threads composes with jobs=1."""
+        from repro.parallel.pool import ExperimentTask
+        from repro.parallel.session import run_session
 
         tasks = [ExperimentTask(kind="coarsen", graph="ppa", machine="gpu",
                                 coarsener="hec", constructor="sort",
                                 seed=0, oom=False)]
-        base = run_experiments(tasks, jobs=1)
-        threaded = run_experiments(tasks, jobs=1, threads=2)
+        base = run_session(tasks, jobs=1, retries=0)
+        threaded = run_session(tasks, jobs=1, retries=0, threads=2)
         assert threaded.results == base.results
         assert threaded.summary.get("threads") == 2
         assert "tiles" in threaded.summary
