@@ -75,24 +75,29 @@ def fm_refine(
     ``balance_tol`` is the allowed |W0 - W1| during the pass; the default
     is twice the largest vertex weight, the smallest slack under which a
     single move can always be legal.
+
+    A pass holds ``part``, the gains, stamps, locks and part weights as
+    Python lists (floats are IEEE doubles, so every sum is bit-identical
+    to NumPy's) and slices only a moved vertex's adjacency row.  A
+    balance-rejected pop outside the forced branch is followed by
+    :func:`_drain_rejected`, which locks the rejections that the loop
+    would make next without re-picking the side each time.
     """
     part = part.astype(np.int8).copy()
     n = g.n
     if n == 0:
         return part
-    vw = g.vwgts
     if balance_tol is None:
-        balance_tol = 2.0 * float(vw.max())
+        balance_tol = 2.0 * float(g.vwgts.max())
     if stall_limit is None:
         stall_limit = max(100, n // 50)
+    vw = g.vwgts.tolist()
 
-    w = partition_weights(g, part)
+    w = partition_weights(g, part).tolist()
     best_cut = cut = edge_cut(g, part)
 
     for _ in range(max_passes):
         gains = compute_gains(g, part)
-        stamp = np.zeros(n, dtype=np.int64)
-        locked = np.zeros(n, dtype=bool)
         # heap[s]: movable vertices on side s.  Built in bulk: the pop
         # order only depends on the (key, stamp, id) tuples — a total
         # order — so heapify yields the same move sequence as n pushes.
@@ -101,6 +106,9 @@ def fm_refine(
             vs = np.flatnonzero(part == s)
             heaps[s] = list(zip((-gains[vs]).tolist(), (0,) * len(vs), vs.tolist()))
             heapq.heapify(heaps[s])
+        part, gains = part.tolist(), gains.tolist()
+        stamp = [0] * n
+        locked = [False] * n
 
         moves: list[int] = []
         pass_cut = cut
@@ -115,42 +123,34 @@ def fm_refine(
 
         while (heaps[0] or heaps[1]) and stall < stall_limit:
             # pick the side: heavier side if out of balance, else best gain
-            side = None
+            top = None  # stays None on the forced branch
             if w[0] - w[1] > balance_tol and heaps[0]:
                 side = 0
             elif w[1] - w[0] > balance_tol and heaps[1]:
                 side = 1
             else:
-                top = [None, None]
-                for s in (0, 1):
-                    while heaps[s]:
-                        negg, st, v = heaps[s][0]
-                        if locked[v] or part[v] != s or st != stamp[v]:
-                            heapq.heappop(heaps[s])
-                            continue
-                        top[s] = -negg
-                        break
+                top = [_valid_top(heaps[s], s, part, locked, stamp) for s in (0, 1)]
                 if top[0] is None and top[1] is None:
                     break
-                if top[1] is None or (top[0] is not None and top[0] >= top[1]):
+                # keys are negated gains, so side 0 wins ties on gain
+                if top[1] is None or (top[0] is not None and top[0] <= top[1]):
                     side = 0
                 else:
                     side = 1
             # pop the best valid vertex from the chosen side
-            v = None
-            while heaps[side]:
-                negg, st, cand = heapq.heappop(heaps[side])
-                if locked[cand] or part[cand] != side or st != stamp[cand]:
-                    continue
-                v = cand
+            if _valid_top(heaps[side], side, part, locked, stamp) is None:
                 break
-            if v is None:
-                break
+            v = heapq.heappop(heaps[side])[2]
             other = 1 - side
             # the move must keep tolerance, or strictly improve balance
             new_diff = abs((w[side] - vw[v]) - (w[other] + vw[v]))
             if new_diff > balance_tol and new_diff >= abs(w[side] - w[other]):
                 locked[v] = True  # illegal for this pass
+                if top is not None:
+                    _drain_rejected(
+                        heaps[side], side, top[other], part, locked, stamp,
+                        vw, w, balance_tol,
+                    )
                 continue
 
             part[v] = other
@@ -161,21 +161,20 @@ def fm_refine(
             moves.append(v)
             # incremental neighbour gain updates: an edge to v's new side
             # became internal (gain down), to its old side external (up).
-            # Applied to all unlocked neighbours at once — adjacency
-            # entries are distinct, so the batched update touches each
-            # neighbour exactly once, like the sequential loop.
-            nbrs, wts = g.neighbors(v), g.edge_weights(v)
-            unlocked = ~locked[nbrs]
-            if unlocked.any():
-                uu, ww = nbrs[unlocked], wts[unlocked]
-                sides = part[uu]
-                np.add.at(gains, uu, np.where(sides == other, -2.0 * ww, 2.0 * ww))
-                np.add.at(stamp, uu, 1)
-                for entry, s in zip(
-                    zip((-gains[uu]).tolist(), stamp[uu].tolist(), uu.tolist()),
-                    sides.tolist(),
-                ):
-                    heapq.heappush(heaps[s], entry)
+            # The builders deduplicate rows, but a hand-built CSRGraph may
+            # list a neighbour twice.  Such a neighbour takes one update
+            # per entry, in adjacency order (as np.add.at applied them),
+            # and each entry pushes its final (key, stamp): duplicate
+            # heap entries keep a heap non-empty, which steers the
+            # forced branch and the loop's exit.
+            nbrs = g.neighbors(v).tolist()
+            for u, wt in zip(nbrs, g.edge_weights(v).tolist()):
+                if not locked[u]:
+                    gains[u] += -2.0 * wt if part[u] == other else 2.0 * wt
+                    stamp[u] += 1
+            for u in nbrs:
+                if not locked[u]:
+                    heapq.heappush(heaps[part[u]], (-gains[u], stamp[u], u))
 
             now_balanced = abs(w[0] - w[1]) <= balance_tol
             if now_balanced and pass_cut < best_prefix_cut - 1e-12:
@@ -197,6 +196,7 @@ def fm_refine(
                 w[1 - s] += vw[v]
         else:
             best_prefix_cut = pass_cut
+        part = np.array(part, dtype=np.int8)
 
         space.ledger.charge(
             "refinement",
@@ -214,6 +214,63 @@ def fm_refine(
             break
         best_cut = min(best_cut, cut)
     return part
+
+
+def _valid_top(heap: list, s: int, part: list, locked: list, stamp: list):
+    """Pop stale entries off ``heap`` (side ``s``); return the top's key.
+
+    An entry is stale once its vertex is locked, has left side ``s`` or
+    has been re-pushed with a newer stamp.  Returns ``None`` when the
+    heap runs empty.
+    """
+    while heap:
+        negg, st, v = heap[0]
+        if locked[v] or part[v] != s or st != stamp[v]:
+            heapq.heappop(heap)
+            continue
+        return negg
+    return None
+
+
+def _drain_rejected(
+    heap: list,
+    side: int,
+    rival,
+    part: list,
+    locked: list,
+    stamp: list,
+    vw: list,
+    w: list,
+    balance_tol: float,
+) -> None:
+    """Lock the run of balance-rejected pops that follows a rejection.
+
+    Called after the unforced branch (no side heavier by more than
+    ``balance_tol`` with a non-empty heap) rejected a pop from ``side``.
+    That rejection changed only ``locked`` and this heap, so the loop's
+    next iterations take the same branch against the same part weights
+    and the same ``rival`` (the other side's valid top key, or
+    ``None``), and the stall count stays put.  Each valid top that
+    still wins the side comparison (side 0 wins ties, side 1 must be
+    strictly better) and still fails the balance test is popped and
+    locked, exactly as those iterations would.  The first top that
+    loses or would be legal is left for the loop.
+    """
+    other = 1 - side
+    w_side, w_other = w[side], w[other]
+    diff = abs(w_side - w_other)
+    while True:
+        negg = _valid_top(heap, side, part, locked, stamp)
+        if negg is None:
+            return
+        if rival is not None and (negg > rival if side == 0 else negg >= rival):
+            return
+        v = heap[0][2]
+        new_diff = abs((w_side - vw[v]) - (w_other + vw[v]))
+        if not (new_diff > balance_tol and new_diff >= diff):
+            return
+        heapq.heappop(heap)
+        locked[v] = True
 
 
 def rebalance_exact(g: CSRGraph, part: np.ndarray, space: ExecSpace) -> np.ndarray:
