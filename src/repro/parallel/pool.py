@@ -50,10 +50,10 @@ def task_weight(graph: str, seed: int, sizes: dict) -> int:
     """Tier-aware LPT weight of one ``(graph, seed)`` tenant.
 
     A measured ``size_measure`` (recorded at publish time) wins.  Mapped
-    scale tiers (``name@x100``) bypass shm publication, and preshared
-    descriptor pools never measure them at all — without a fallback they
-    weigh 0 and a 100x out-of-core tenant is scheduled *last*, becoming
-    exactly the straggler LPT exists to avoid.  The fallback scales the
+    scale tiers (``name@x100``) bypass shm publication, and a failed
+    publish measures nothing — without a fallback they weigh 0 and a
+    100x out-of-core tenant is scheduled *last*, becoming exactly the
+    straggler LPT exists to avoid.  The fallback scales the
     base graph's measured size by the tier factor, and when nothing was
     measured the tier factor alone still orders tenants correctly
     relative to each other.

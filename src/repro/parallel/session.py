@@ -615,7 +615,6 @@ def run_session(
     task_timeout: float | None = None,
     task_fn: Callable | None = None,
     validate_corpus: bool = False,
-    descriptors: dict | None = None,
     threads: int | None = None,
 ) -> SessionOutcome:
     """Run ``tasks`` fault-tolerantly; merge deterministically.
@@ -630,11 +629,6 @@ def run_session(
     again resumes.  Quarantined tasks appear in ``outcome.failed`` (and
     ``summary["failed"]``) instead of raising.  ``task_fn`` replaces the
     harness run of one task (a picklable ``task -> envelope`` callable).
-
-    ``descriptors`` passes pre-published shared-memory corpus blocks
-    (the serving daemon's resident registry); the session then skips
-    its own publish and does **not** release the segments on exit —
-    their lifetime belongs to the caller.
 
     ``threads`` is the intra-run tile-thread budget
     (:mod:`repro.parallel.tiles`): the serial path installs the engine
@@ -712,19 +706,15 @@ def run_session(
 
     shared_bytes = 0
     handles: list = []
-    preshared = descriptors
     eff_jobs = max(1, jobs)
     worker_threads = (
         None if threads is None else tiles.clamp_threads(threads, eff_jobs)
     )
     try:
         if remaining and eff_jobs > 1:
-            descriptors = dict(preshared) if preshared else {}
-            sizes: dict = {
-                key: d["nbytes"] for key, d in descriptors.items()
-            }
-            shared_bytes = sum(sizes.values())
-            if not descriptors and task_fn is None:
+            descriptors: dict = {}
+            sizes: dict = {}
+            if task_fn is None:
                 try:
                     descriptors, handles, sizes = publish_corpus(
                         (tasks[i].graph, tasks[i].seed) for i in remaining
@@ -732,7 +722,6 @@ def run_session(
                     shared_bytes = sum(d["nbytes"] for d in descriptors.values())
                 except OSError as e:
                     state.degrade("shm.publish", "per-worker-cache-load", e)
-                    descriptors, handles, sizes = {}, [], {}
             # LPT: biggest graph first (tier-aware), task order tie-break
             order = sorted(
                 remaining,

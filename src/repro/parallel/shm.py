@@ -92,11 +92,10 @@ def _untrack(shm) -> None:
     """Exempt an owned segment from the stdlib resource tracker.
 
     This module owns the whole lifecycle of ``repro-*`` segments: clean
-    exits unlink via :func:`release_all` / the registry's shutdown
-    ladder, and crashed owners are reclaimed by :func:`sweep_stale`
-    (``repro.bench gc-shm``, daemon ``--recover``).  Left registered,
-    the tracker process — which survives a SIGKILL of its parent —
-    unlinks the segments on its own schedule, racing the recovery sweep
+    exits unlink via :func:`release_all`, and crashed owners are
+    reclaimed by :func:`sweep_stale` (``repro.bench gc-shm``).  Left
+    registered, the tracker process — which survives a SIGKILL of its
+    parent — unlinks the segments on its own schedule, racing the sweep
     and making post-crash state nondeterministic.
     """
     try:

@@ -6,14 +6,14 @@ alive between analyses.  This package is that something:
 
 * :mod:`repro.serve.protocol` — length-prefixed JSON frames over a unix
   socket, request validation, typed ok/error/REJECTED responses;
-* :mod:`repro.serve.registry` — the multi-tenant graph registry (hot
-  tier: shm-published CSR; cold tier: the artifact cache) and the LRU
+* :mod:`repro.serve.registry` — the multi-tenant graph registry
+  (in-process CSR arrays over the on-disk artifact cache) and the LRU
   hierarchy cache with its record/replay reuse handles;
 * :mod:`repro.serve.executor` — request → harness run → response row,
-  byte-identical to the batch CLI, with pool fan-out for batches;
+  byte-identical to the batch CLI, every request in this process;
 * :mod:`repro.serve.server` — the daemon: accept loop, bounded
   admission queue, dispatcher batching, graceful SIGTERM drain and the
-  full shm/journal cleanup ladder;
+  journal/socket cleanup ladder;
 * :mod:`repro.serve.client` — a blocking client with optional retries
   (deterministic backoff, reconnect-on-EOF, deadline propagation);
 * :mod:`repro.serve.journal` — the durable state journal + warm-restart

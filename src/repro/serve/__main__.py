@@ -41,7 +41,6 @@ def _cmd_serve(args) -> int:
         socket_path=str(args.socket),
         queue_max=args.queue_max,
         batch_max=args.batch_max,
-        jobs=args.jobs,
         threads=resolve_threads(args.threads),
         max_graphs=args.max_graphs,
         max_hierarchies=args.max_hierarchies,
@@ -54,7 +53,7 @@ def _cmd_serve(args) -> int:
     server = Server(config)
     print(f"serving on {config.socket_path} "
           f"(queue {config.queue_max}, batch {config.batch_max}, "
-          f"jobs {config.jobs}, threads {config.threads}"
+          f"threads {config.threads}"
           + (", recovering" if config.recover else "") + "); "
           "SIGTERM drains and exits", flush=True)
     return server.serve_forever()
@@ -73,7 +72,6 @@ def _cmd_supervise(args) -> int:
         "--log-dir", str(args.log_dir),
         "--queue-max", str(args.queue_max),
         "--batch-max", str(args.batch_max),
-        "--jobs", str(args.jobs),
         "--max-graphs", str(args.max_graphs),
         "--max-hierarchies", str(args.max_hierarchies),
         "--drain-timeout", str(args.drain_timeout),
@@ -197,15 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "a typed REJECTED response (default 64)")
         p.add_argument("--batch-max", type=int, default=8,
                        help="dispatcher batch width (default 8)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for batches of distinct cold "
-                            "configs (default 1 = everything in-process)")
         p.add_argument("--threads", type=int, default=None,
                        help="tile-parallel threads inside each run (default: "
                             "REPRO_THREADS or 1; 0 = every usable core); "
                             "results are bitwise identical to serial")
         p.add_argument("--max-graphs", type=int, default=8,
-                       help="resident graph tenants, LRU-evicted (default 8)")
+                       help="resident graph tenants, LRU-evicted; a tenant "
+                            "that took an update_graph is pinned (default 8)")
         p.add_argument("--max-hierarchies", type=int, default=32,
                        help="resident hierarchies, LRU-evicted (default 32)")
         p.add_argument("--drain-timeout", type=float, default=10.0,
@@ -274,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_l.add_argument("--graphs", default="ppa,citation",
                      help="comma-separated corpus graphs (default ppa,citation)")
     p_l.add_argument("--seed", type=int, default=0)
-    p_l.add_argument("--jobs", type=int, default=1,
-                     help="daemon jobs when spawning (default 1)")
     p_l.add_argument("--client-retries", type=int, default=0,
                      help="per-request client retries with deterministic "
                           "backoff (lets a loadtest ride a daemon crash + "

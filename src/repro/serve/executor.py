@@ -7,16 +7,8 @@ plumbing as :func:`repro.parallel.pool._execute` and builds the row with
 the same :func:`repro.parallel.pool.row_from_result`; the only additions
 are the hierarchy-reuse handle (whose tape replay is bitwise neutral,
 see :mod:`repro.trace.tape`) and response metadata that never enters
-the row.
-
-Batches of ≥2 *distinct, hierarchy-cold* coarsen/bisect requests can
-fan out over the PR-5 supervised pool (``jobs > 1``), reusing the
-registry's already-published shm segments via ``run_session``'s
-``descriptors`` hook.  Pooled rows are byte-identical by the PR-4/5
-merge invariant but bypass the hierarchy cache (a hierarchy cannot
-cross the process boundary), so cache-hits, k-way, and cluster
-requests always run in-process — which is also the default
-(``jobs=1``) configuration the acceptance numbers are measured on.
+the row.  Every request runs in this process, in dispatcher order, so
+every hierarchy it builds enters the cache that the next request hits.
 """
 
 from __future__ import annotations
@@ -36,7 +28,7 @@ from ..parallel.memory import SimulatedOOM
 from ..parallel.pool import ExperimentTask, row_from_result
 from .journal import PoisonTracker, request_digest, tape_digest
 from .protocol import error_response, ok_response
-from .registry import GraphRegistry, HierarchyCache, hierarchy_key
+from .registry import GraphRegistry, HierarchyCache
 
 __all__ = ["ServeExecutor"]
 
@@ -76,23 +68,19 @@ class ServeExecutor:
         registry: GraphRegistry | None = None,
         hierarchies: HierarchyCache | None = None,
         *,
-        jobs: int = 1,
         threads: int = 1,
     ):
         self.registry = registry if registry is not None else GraphRegistry()
         self.hierarchies = (
             hierarchies if hierarchies is not None else HierarchyCache()
         )
-        self.jobs = max(1, jobs)
         self.threads = max(1, threads)
         if self.threads > 1:
-            # in-process requests run tile-parallel too; the process-
-            # global engine is visible from every dispatcher thread, and
-            # the budget is pre-clamped against the worker count so a
-            # pooled batch plus in-process work never oversubscribes
+            # requests run tile-parallel; the process-global engine is
+            # visible from the dispatcher thread
             from ..parallel import tiles
 
-            tiles.configure(tiles.clamp_threads(self.threads, self.jobs))
+            tiles.configure(self.threads)
         self.executed = 0
         self.errors = 0
         #: crash-safety state (wired by the server when a log dir is set)
@@ -348,115 +336,13 @@ class ServeExecutor:
 
     # ------------------------------------------------------------- batch
 
-    def poolable(self, req: dict) -> bool:
-        """True when a request has a batch-task equivalent and is
-        hierarchy-cold — the only case worth shipping to a worker."""
-        if self.jobs <= 1:
-            return False
-        if self.registry.is_mutated(req["graph"], req["seed"]):
-            # a worker would reload the pristine cold-tier graph and
-            # compute rows for edges that no longer exist
-            return False
-        if req["op"] == "coarsen" or (req["op"] == "partition" and req["k"] == 2):
-            return not self.hierarchies.peek(hierarchy_key(req))
-        return False
-
     def execute_batch(
         self, requests: list[dict], deadlines: list[float | None] | None = None
     ) -> list[dict]:
-        """Execute a dispatcher batch; responses in request order.
-
-        With ``jobs > 1``, the poolable subset (distinct configs only —
-        duplicates would trip the deterministic-merge key check, and
-        running them twice is the waste this daemon exists to avoid)
-        fans out over ``run_session`` with the registry's published
-        descriptors; everything else runs in-process.  A pooled task
-        that *failed* (worker crash, hang, exhausted retries) gets the
-        typed ``ExecutorCrash`` answer and a poison strike — it is never
-        re-run in-process, where a second crash would take the daemon
-        (and every tenant) down with it.
-        """
-        responses: list[dict | None] = [None] * len(requests)
+        """Execute a dispatcher batch in order; responses in request order."""
         if deadlines is None:
             deadlines = [None] * len(requests)
-        pooled: dict[tuple, list[int]] = {}
-        # tenants an update in this very batch will mutate: keep their
-        # requests in-process so the in-order execution below preserves
-        # the submit-order view of the graph
-        mutating = {
-            (r["graph"], r["seed"]) for r in requests if r["op"] == "update_graph"
-        }
-        if self.jobs > 1 and len(requests) > 1:
-            for i, req in enumerate(requests):
-                if (req.get("graph"), req.get("seed")) in mutating:
-                    continue
-                if deadlines[i] is not None:
-                    # deadline'd requests stay in-process where expiry is
-                    # checked right before execution
-                    continue
-                if self.poison.quarantined(request_digest(req)):
-                    continue  # execute() answers with the typed error
-                if self.poolable(req):
-                    # the grouping key carries ``oom`` even though the
-                    # batch key does not: two requests differing only in
-                    # the OOM flag are different work, and pooling both
-                    # would collide in run_session's unique-key check
-                    pooled.setdefault((request_key(req), req["oom"]), []).append(i)
-        seen_batch_keys = set()
-        for key in list(pooled):
-            if key[0] in seen_batch_keys:  # oom-twin: run it in-process
-                del pooled[key]
-            else:
-                seen_batch_keys.add(key[0])
-        if sum(len(v) for v in pooled.values()) > 1:
-            tasks, keys = [], []
-            for key, idxs in pooled.items():
-                req = requests[idxs[0]]
-                kind = "coarsen" if req["op"] == "coarsen" else "partition"
-                tasks.append(ExperimentTask(
-                    kind=kind, graph=req["graph"], machine=req["machine"],
-                    coarsener=req["coarsener"], constructor=req["constructor"],
-                    refinement=req["refinement"], seed=req["seed"],
-                    oom=req["oom"],
-                ))
-                keys.append(key[0])
-            from ..parallel.session import run_session
-
-            outcome = run_session(
-                tasks, self.jobs, retries=1,
-                descriptors=self.registry.descriptors(),
-                threads=self.threads if self.threads > 1 else None,
-            )
-            # results keep task order but skip quarantined entries
-            failures = {f["key"]: f for f in outcome.failed}
-            rows = iter(outcome.results)
-            by_key = {
-                t.key(): next(rows) for t in tasks if t.key() not in failures
-            }
-            for key, idxs in pooled.items():
-                row = by_key.get(key[0])
-                if row is None:
-                    failure = failures.get(key[0], {})
-                    digest = request_digest(requests[idxs[0]])
-                    strikes = self.poison.strike(digest)
-                    self._journal_state({"type": "poison", "digest": digest})
-                    for i in idxs:
-                        self.errors += 1
-                        responses[i] = error_response(
-                            f"pooled execution failed after "
-                            f"{failure.get('attempts', '?')} attempt(s): "
-                            f"{failure.get('kind', 'unknown')}: "
-                            f"{failure.get('error', '')} "
-                            f"(strike {strikes}/{self.poison.threshold})",
-                            kind="ExecutorCrash",
-                        )
-                    continue
-                for i in idxs:
-                    self.executed += 1
-                    responses[i] = ok_response(
-                        dict(row), key=key[0], meta={"hierarchy": "pooled"}
-                    )
-        for i, req in enumerate(requests):
-            if responses[i] is None:
-                responses[i] = self.execute(req, deadline=deadlines[i])
-        return responses
+        return [
+            self.execute(req, deadline=deadline)
+            for req, deadline in zip(requests, deadlines)
+        ]

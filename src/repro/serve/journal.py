@@ -201,7 +201,7 @@ class PoisonTracker:
     A strike is an executor-level death attributable to one request: a
     dangling ``exec-begin`` found at recovery (the in-process executor
     *is* the daemon, so the request took the whole process down) or a
-    pooled worker crash.  At ``threshold`` strikes the digest is
+    journaled ``poison`` record.  At ``threshold`` strikes the digest is
     quarantined: the request gets a typed ``PoisonQuarantined`` error
     and never reaches an executor again, while its tenant stays live.
     """
@@ -232,7 +232,7 @@ def recover_executor(executor, directory, *, strict: bool = False) -> dict:
     """Warm-restart ``executor`` from the state journal in ``directory``.
 
     Replays the journal's valid prefix **in order**: tenants reload
-    through the registry (artifact cache → shm republish), hierarchies
+    through the registry from the artifact cache, hierarchies
     are deterministically rebuilt in-process and their tapes verified
     against the journaled digest (a mismatch evicts the entry and is
     reported — never served), updates re-apply through the same

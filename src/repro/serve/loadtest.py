@@ -213,14 +213,15 @@ def main(args) -> int:
     """``python -m repro.serve loadtest`` — argparse namespace in."""
     graphs = [g.strip() for g in args.graphs.split(",") if g.strip()]
     requests = build_mix(args.requests, graphs, seed=args.seed)
-    key = f"{','.join(graphs)}:n{args.requests}:c{args.clients}:j{args.jobs}"
+    # ":j1" keeps the key of the committed BENCH_serving.json entries
+    key = f"{','.join(graphs)}:n{args.requests}:c{args.clients}:j1"
 
     server = None
     socket_path = args.socket
     if args.spawn:
         from .server import Server, ServerConfig
 
-        server = Server(ServerConfig(socket_path=socket_path, jobs=args.jobs))
+        server = Server(ServerConfig(socket_path=socket_path))
         server.start()
     try:
         wait_for_server(socket_path, timeout=60.0)
@@ -232,9 +233,7 @@ def main(args) -> int:
         if server is not None:
             server.stop()
 
-    entry["config"] = {
-        "graphs": graphs, "seed": args.seed, "jobs": args.jobs,
-    }
+    entry["config"] = {"graphs": graphs, "seed": args.seed, "jobs": 1}
     print(f"[{key}] {entry['requests']} requests, {entry['clients']} clients: "
           f"p50 {entry['overall']['p50_ms']:.1f} ms  "
           f"p99 {entry['overall']['p99_ms']:.1f} ms  "

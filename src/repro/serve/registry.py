@@ -1,17 +1,14 @@
 """Multi-tenant graph registry and the resident hierarchy cache.
 
-Two tiers keep a served graph hot:
+A served graph lives in two places:
 
-* **Hot tier** — the CSR arrays live in this process (loaded once per
-  (graph, seed) tenant) and are *also* published as a shared-memory
-  segment (:meth:`repro.csr.graph.CSRGraph.to_shared`), so a pool
-  fan-out attaches zero-copy instead of re-pickling per task.  Publish
-  failure (exhausted ``/dev/shm``) degrades to in-process-only — the
-  daemon keeps serving, workers fall back to the cache path — and is
-  recorded, never silent.
-* **Cold tier** — the PR-1 artifact cache on disk.  A registry miss
-  loads through :func:`repro.generators.corpus.load`, whose per-entry
-  file lock single-flights concurrent generation; eviction from the
+* **Resident** — the CSR arrays live in this process, loaded once per
+  (graph, seed) tenant and LRU-bounded by ``max_graphs``.  A tenant
+  that took an ``update_graph`` exists only here, so it is pinned: the
+  bound is exceeded rather than an update lost.
+* **Cold** — the artifact cache on disk.  A registry miss loads
+  through :func:`repro.generators.corpus.load`, whose per-entry file
+  lock single-flights concurrent generation; eviction from the
   registry only drops memory, the cold tier still has the artifact.
 
 Beside the graphs sits the :class:`HierarchyCache`: (config → built
@@ -27,10 +24,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from .. import faultinject
 from ..generators import corpus
-from ..parallel import shm as shm_lifecycle
-from ..storage import mapped as mapped_storage
 
 __all__ = ["GraphRegistry", "HierarchyCache", "ReuseHandle", "hierarchy_key"]
 
@@ -55,12 +49,12 @@ def hierarchy_key(req: dict) -> tuple:
 
 
 class GraphRegistry:
-    """Resident (graph, seed) tenants with shm publication + LRU bound."""
+    """Resident (graph, seed) tenants under an LRU bound."""
 
     def __init__(self, max_graphs: int = 8):
         self.max_graphs = max_graphs
         self._lock = threading.Lock()
-        #: (name, seed) -> {"graph", "spec", "descriptor", "shm"}
+        #: (name, seed) -> {"graph", "spec"}
         self._entries: OrderedDict[tuple, dict] = OrderedDict()
         #: tenants whose resident graph diverged from the cold tier via
         #: ``update_graph`` — pinned against LRU eviction, because a
@@ -70,17 +64,13 @@ class GraphRegistry:
         self.loads = 0
         self.evictions = 0
         self.mutations = 0
-        self.degradations: list[dict] = []
-        #: (site, graph) pairs already degraded — a flaky /dev/shm must
-        #: not grow the degradation list by one entry per request
-        self._degraded: set[tuple] = set()
         #: observers for the serve state journal: called with
         #: ``(name, seed)`` after a tenant becomes resident / is dropped
         self.on_load = None
         self.on_drop = None
 
     def graph(self, name: str, seed: int):
-        """Resolve a tenant's graph, loading + publishing on first touch."""
+        """Resolve a tenant's graph, loading it on first touch."""
         key = (name, seed)
         with self._lock:
             entry = self._entries.get(key)
@@ -90,54 +80,15 @@ class GraphRegistry:
         # load outside the lock: generation can take a while and the
         # artifact cache's own file lock already single-flights it
         g, spec = corpus.load(name, seed)
-        descriptor = shm = None
-        if mapped_storage.is_mapped(g):
-            # out-of-core tier tenant: the mapped directory is already
-            # shared through the page cache, and a shm copy would pull
-            # the whole edge volume resident — serve it mapped, no
-            # degradation to record
-            with self._lock:
-                raced = self._entries.get(key)
-                if raced is not None:
-                    return raced["graph"], raced["spec"]
-                self._entries[key] = {
-                    "graph": g, "spec": spec, "descriptor": None, "shm": None,
-                }
-                self.loads += 1
-                victims = self._evict_over_bound()
-            self._notify_load(key, victims)
-            return g, spec
-        try:
-            faultinject.fire("shm.publish", graph=name)
-            names = shm_lifecycle.segment_names()
-            descriptor, shm = g.to_shared(name=next(names))
-            shm_lifecycle.register(shm)
-        except OSError as e:
-            self._degrade("serve.publish", name, e)
-            descriptor = shm = None
         with self._lock:
             raced = self._entries.get(key)
             if raced is not None:  # another thread won the load
-                if shm is not None:
-                    self._unpublish(shm)
                 return raced["graph"], raced["spec"]
-            self._entries[key] = {
-                "graph": g, "spec": spec, "descriptor": descriptor, "shm": shm,
-            }
+            self._entries[key] = {"graph": g, "spec": spec}
             self.loads += 1
-            victims = self._evict_over_bound()
+            victims = self._evict_over_bound(key)
         self._notify_load(key, victims)
         return g, spec
-
-    def _degrade(self, site: str, name: str, error: Exception) -> None:
-        """Record a publish degradation **once** per (site, graph)."""
-        if (site, name) in self._degraded:
-            return
-        self._degraded.add((site, name))
-        self.degradations.append(
-            {"site": site, "action": "in-process-only",
-             "graph": name, "error": str(error)}
-        )
 
     def _notify_load(self, key: tuple, victims: list[tuple]) -> None:
         """Fire the journal observers outside the registry lock."""
@@ -147,37 +98,35 @@ class GraphRegistry:
             for victim in victims:
                 self.on_drop(*victim)
 
-    def _evict_over_bound(self) -> list[tuple]:
+    def _evict_over_bound(self, loading: tuple) -> list[tuple]:
         """LRU-evict past ``max_graphs``, skipping mutated (pinned)
-        tenants — they exist only in this process.  Caller holds the
-        lock; the evicted keys are returned so observers run unlocked.
-        When every resident tenant is mutated the bound is exceeded
+        tenants — they exist only in this process — and ``loading``,
+        the tenant just inserted, which its caller is about to use (an
+        ``update_graph`` swaps its graph right after the load).  Caller
+        holds the lock; the evicted keys are returned so observers run
+        unlocked.  When nothing else can go the bound is exceeded
         rather than losing an update."""
         victims: list[tuple] = []
         while len(self._entries) > self.max_graphs:
             victim = next(
-                (k for k in self._entries if k not in self._mutated), None
+                (k for k in self._entries
+                 if k not in self._mutated and k != loading), None
             )
             if victim is None:
                 break
-            old = self._entries.pop(victim)
+            del self._entries[victim]
             self.evictions += 1
             victims.append(victim)
-            if old["shm"] is not None:
-                self._unpublish(old["shm"])
         return victims
 
     def drop(self, name: str, seed: int) -> bool:
         """Explicitly evict one tenant (recovery replay of a drop record)."""
         key = (name, seed)
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is None:
+            if self._entries.pop(key, None) is None:
                 return False
             self._mutated.discard(key)
             self.evictions += 1
-            if old["shm"] is not None:
-                self._unpublish(old["shm"])
         if self.on_drop is not None:
             self.on_drop(name, seed)
         return True
@@ -185,33 +134,15 @@ class GraphRegistry:
     def replace_graph(self, name: str, seed: int, g) -> None:
         """Swap a resident tenant's graph for its post-update CSR.
 
-        The old shm segment is unpublished and the new graph republished
-        under a fresh name, so a later pool fan-out attaches the updated
-        arrays; publish failure degrades to in-process-only exactly like
-        first-touch.  The tenant is marked mutated: pinned in the LRU
-        (the cold tier still holds the pre-update artifact) and excluded
-        from worker fan-out by the executor.
+        The tenant is marked mutated: pinned in the LRU, because the
+        cold tier still holds the pre-update artifact.
         """
         key = (name, seed)
-        descriptor = shm = None
-        if not mapped_storage.is_mapped(g):
-            try:
-                faultinject.fire("shm.publish", graph=name)
-                names = shm_lifecycle.segment_names()
-                descriptor, shm = g.to_shared(name=next(names))
-                shm_lifecycle.register(shm)
-            except OSError as e:
-                self._degrade("serve.republish", name, e)
-                descriptor = shm = None
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                if shm is not None:
-                    self._unpublish(shm)
                 raise KeyError(f"tenant {key!r} is not resident")
-            if entry["shm"] is not None:
-                self._unpublish(entry["shm"])
-            entry.update(graph=g, descriptor=descriptor, shm=shm)
+            entry["graph"] = g
             self._entries.move_to_end(key)
             self._mutated.add(key)
             self.mutations += 1
@@ -221,39 +152,19 @@ class GraphRegistry:
         with self._lock:
             return (name, seed) in self._mutated
 
-    @staticmethod
-    def _unpublish(shm) -> None:
-        shm_lifecycle.destroy(shm)
-
-    def descriptors(self) -> dict:
-        """(name, seed) → shm descriptor for every published tenant.
-
-        The dict :func:`repro.parallel.session.run_session` accepts as
-        pre-published corpus; segments stay owned by the registry.
-        """
-        with self._lock:
-            return {
-                key: e["descriptor"]
-                for key, e in self._entries.items()
-                if e["descriptor"] is not None
-            }
-
     def resident(self) -> list[dict]:
         with self._lock:
             return [
                 {"graph": name, "seed": seed, "n": e["graph"].n,
-                 "m": e["graph"].m, "published": e["shm"] is not None}
+                 "m": e["graph"].m}
                 for (name, seed), e in self._entries.items()
             ]
 
     def close(self) -> None:
-        """Unpublish every segment; part of the shutdown cleanup ladder."""
+        """Drop every resident tenant."""
         with self._lock:
-            for e in self._entries.values():
-                if e["shm"] is not None:
-                    self._unpublish(e["shm"])
-                    e["shm"] = e["descriptor"] = None
             self._entries.clear()
+            self._mutated.clear()
 
 
 class ReuseHandle:

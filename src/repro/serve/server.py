@@ -19,10 +19,9 @@ answer, never a dropped connection.
 **Shutdown** (SIGTERM/SIGINT or ``stop()``) runs the full ladder with a
 drain deadline: stop admitting, let the dispatcher finish what is
 queued for up to ``drain_timeout`` seconds, reject whatever remains,
-then close the request journal, unpublish every registry segment,
-release any straggler shm (:func:`repro.parallel.shm.release_all`),
-and unlink the socket.  A SIGTERM'd daemon leaves **no** ``repro-*``
-segments behind — the property the shm sweep tests pin down.
+then close the journals and unlink the socket.  Tenants live only as
+in-process arrays, so the daemon creates no shared-memory segment and
+even a SIGKILL leaves none behind.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..parallel import shm as shm_lifecycle
 from ..parallel.session import SessionJournal
 from .executor import ServeExecutor, request_key
 from .journal import ServeJournal, recover_executor
@@ -60,12 +58,9 @@ class ServerConfig:
     queue_max: int = 64
     #: dispatcher batch width
     batch_max: int = 8
-    #: worker processes for poolable batches (1 = everything in-process)
-    jobs: int = 1
-    #: tile-parallel threads inside each run (repro.parallel.tiles);
-    #: clamped with jobs so jobs x threads never oversubscribes
+    #: tile-parallel threads inside each run (repro.parallel.tiles)
     threads: int = 1
-    #: resident graph tenants (hot tier LRU bound)
+    #: resident graph tenants (LRU bound; updated tenants are pinned)
     max_graphs: int = 8
     #: resident hierarchies (LRU bound)
     max_hierarchies: int = 32
@@ -106,7 +101,6 @@ class Server:
     def __init__(self, config: ServerConfig | None = None, executor=None):
         self.config = config or ServerConfig()
         self.executor = executor if executor is not None else ServeExecutor(
-            jobs=self.config.jobs,
             threads=self.config.threads,
         )
         self.executor.registry.max_graphs = self.config.max_graphs
@@ -142,9 +136,6 @@ class Server:
         if self.config.log_dir is not None:
             state = ServeJournal(self.config.log_dir)
             if self.config.recover:
-                # a SIGKILL'd daemon leaked its shm segments; their owner
-                # is dead, so the sweep reclaims them before we republish
-                shm_lifecycle.sweep_stale()
                 self.recovery = recover_executor(
                     self.executor, self.config.log_dir
                 )
@@ -181,7 +172,7 @@ class Server:
             self._journal.open()
             self._journal.append(
                 {"type": "serve-start", "pid": os.getpid(),
-                 "socket": str(path), "jobs": self.config.jobs,
+                 "socket": str(path),
                  "recovered": self.recovery is not None}
             )
 
@@ -418,11 +409,7 @@ class Server:
                 self._journal.close()
         if self._state_journal is not None:
             self._state_journal.close()
-        # 5. shm: unpublish the registry, then sweep anything registered
-        #    by other components of this process
-        self.executor.registry.close()
-        shm_lifecycle.release_all()
-        # 6. the socket path itself
+        # 5. the socket path itself
         try:
             Path(self.config.socket_path).unlink()
         except OSError:
@@ -436,12 +423,12 @@ class Server:
             "uptime_s": time.monotonic() - self.started_at,
             "queue_depth": self._queue.qsize(),
             "queue_max": self.config.queue_max,
-            "jobs": self.config.jobs,
+            # one process; benchmark provenance stamps read the field
+            "jobs": 1,
             "threads": self.config.threads,
             "counters": dict(self.counters),
             "hierarchy": self.executor.hierarchies.stats(),
             "graphs": self.executor.registry.resident(),
-            "degradations": list(self.executor.registry.degradations),
             "poison": self.executor.poison.stats(),
             "recovery": self.recovery,
         }

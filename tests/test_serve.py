@@ -311,6 +311,19 @@ def _update_req(graph="ppa", seed=0, add=None, remove=None):
             "add": add or [], "remove": remove or []}
 
 
+def _updated_reads(ex, seeds) -> list[dict]:
+    """Coarsen, update (one absent edge) and k=8-read each ppa tenant."""
+    responses = []
+    for seed in seeds:
+        g, _spec = corpus.load("ppa", seed)
+        u, v = _new_edge_for(g)
+        for req in (_req(op="coarsen", seed=seed),
+                    _update_req(seed=seed, add=[[u, v, 2.5]]),
+                    _req(k=8, seed=seed)):
+            responses.append(ex.execute(req))
+    return responses
+
+
 class TestUpdateGraph:
     def test_validate_normalizes_and_rejects(self):
         out = protocol.validate_request(
@@ -330,7 +343,7 @@ class TestUpdateGraph:
                 protocol.validate_request(bad)
 
     def test_update_patches_cached_hierarchy_and_pins_tenant(self):
-        ex = ServeExecutor(jobs=2)
+        ex = ServeExecutor()
         try:
             built = ex.execute(_req())
             assert built["meta"]["hierarchy"] == "build"
@@ -345,11 +358,9 @@ class TestUpdateGraph:
             assert row["hierarchies_evicted"] == 0
             assert ex.hierarchies.stats()["patches"] == 1
 
-            # the mutated tenant is pinned out of worker pooling: the
-            # pool would reload the pristine on-disk graph.  Probe with
-            # a hierarchy-cold config, which would otherwise pool.
+            # the mutated tenant is pinned: a reload would resurrect the
+            # pristine on-disk graph
             assert ex.registry.is_mutated("ppa", 0)
-            assert not ex.poolable(_req(constructor="vertex"))
 
             # later requests hit the patched hierarchy, not a rebuild
             after = ex.execute(_req())
@@ -375,7 +386,7 @@ class TestUpdateGraph:
         _no_own_segments()
 
     def test_noop_update_leaves_everything_alone(self):
-        ex = ServeExecutor(jobs=2)
+        ex = ServeExecutor()
         try:
             ex.execute(_req())
             g, _spec = ex.registry.graph("ppa", 0)
@@ -385,7 +396,6 @@ class TestUpdateGraph:
             assert resp["row"]["applied_removes"] == 0
             assert resp["row"]["hierarchies_patched"] == 0
             assert not ex.registry.is_mutated("ppa", 0)
-            assert ex.poolable(_req(constructor="vertex"))
         finally:
             ex.registry.close()
         _no_own_segments()
@@ -401,41 +411,22 @@ class TestUpdateGraph:
             ex.registry.close()
         _no_own_segments()
 
-
-class TestPooledBatch:
-    def test_pooled_rows_byte_identical(self):
-        ex = ServeExecutor(jobs=2)
+    def test_updates_past_tenant_bound_are_kept(self):
+        """More updated tenants than ``max_graphs``: the tenant being
+        loaded is never its own eviction victim, so every update lands
+        and every row matches an unbounded registry's."""
+        bounded = ServeExecutor(GraphRegistry(max_graphs=2))
+        unbounded = ServeExecutor(GraphRegistry(max_graphs=64))
         try:
-            reqs = [_req(), _req(op="coarsen", graph="citation")]
-            for r in reqs:
-                ex.registry.graph(r["graph"], r["seed"])
-            resps = ex.execute_batch(list(reqs))
-            assert [r["meta"]["hierarchy"] for r in resps] == ["pooled", "pooled"]
-            for req, resp, task in zip(reqs, resps, (
-                ExperimentTask(kind="partition", graph="ppa",
-                               refinement="fm", oom=False),
-                ExperimentTask(kind="coarsen", graph="citation", oom=False),
-            )):
-                assert _canon(resp["row"]) == _canon(_execute(task))
+            got = _updated_reads(bounded, range(4))
+            want = _updated_reads(unbounded, range(4))
+            assert [r for r in got if r["status"] != "ok"] == []
+            assert [_canon(r) for r in got] == [_canon(r) for r in want]
+            assert len(bounded.registry.resident()) == 4
         finally:
-            ex.registry.close()
+            bounded.registry.close()
+            unbounded.registry.close()
         _no_own_segments()
-
-    def test_oom_twins_do_not_collide(self):
-        """Same config ± the OOM flag must not share one pooled row."""
-        ex = ServeExecutor(jobs=2)
-        try:
-            resps = ex.execute_batch([_req(graph="citation"),
-                                      _req(graph="citation", oom=True)])
-            assert all(r["status"] == "ok" for r in resps)
-            assert resps[0]["row"]["peak_mem"] != resps[1]["row"]["peak_mem"]
-        finally:
-            ex.registry.close()
-        _no_own_segments()
-
-    def test_jobs1_never_pools(self):
-        ex = ServeExecutor(jobs=1)
-        assert not ex.poolable(_req())
 
 
 # -------------------------------------------------- in-process server
@@ -852,6 +843,33 @@ class TestRecovery:
             ex2.registry.close()
         _no_own_segments()
 
+    def test_updates_past_tenant_bound_recover(self, tmp_path):
+        """A journal with more updated tenants than ``max_graphs``
+        replays every update, and each tenant's read hits its recovered
+        hierarchy byte-identically."""
+        ex1, j1 = _journaled_executor(
+            tmp_path, registry=GraphRegistry(max_graphs=1))
+        try:
+            before = _updated_reads(ex1, range(3))
+            assert [r for r in before if r["status"] != "ok"] == []
+        finally:
+            j1.close()
+            ex1.registry.close()
+
+        ex2 = ServeExecutor(GraphRegistry(max_graphs=1))
+        try:
+            summary = recover_executor(ex2, tmp_path)
+            assert summary["updates"] == 3
+            assert summary["mismatches"] == []
+            assert len(ex2.registry.resident()) == 3
+            for seed, pre in zip(range(3), before[2::3]):
+                after = ex2.execute(_req(k=8, seed=seed))
+                assert after["meta"]["hierarchy"] == "hit"
+                assert _canon(after) == _canon(pre)
+        finally:
+            ex2.registry.close()
+        _no_own_segments()
+
     def test_tape_mismatch_evicts_and_reports(self, tmp_path):
         ex1, j1 = _journaled_executor(tmp_path)
         try:
@@ -993,36 +1011,6 @@ class TestIdempotency:
             assert ex._idem_lookup(f"k{MAX_IDEM_ENTRIES + 9}") is not None
         finally:
             ex.registry.close()
-
-    def test_pooled_crash_is_typed_and_quarantines(self):
-        """A crashing pooled task never falls back in-process — it gets
-        the typed ExecutorCrash answer, accumulates strikes, and is
-        quarantined while everything else keeps serving."""
-        ex = ServeExecutor(jobs=2)
-        try:
-            faultinject.install("pool.worker:crash:graph=citation")
-            reqs = [_req(), _req(graph="citation")]
-            for r in reqs:
-                ex.registry.graph(r["graph"], r["seed"])
-            digest = request_digest(reqs[1])
-
-            resps = ex.execute_batch(list(reqs))
-            assert resps[0]["status"] == "ok"
-            assert resps[1]["status"] == "error"
-            assert resps[1]["kind"] == "ExecutorCrash"
-            assert ex.poison.strikes[digest] == 1
-
-            resps2 = ex.execute_batch(list(reqs))
-            assert resps2[1]["kind"] == "ExecutorCrash"
-            assert ex.poison.quarantined(digest)
-
-            resps3 = ex.execute_batch(list(reqs))
-            assert resps3[0]["status"] == "ok"
-            assert resps3[1]["kind"] == "PoisonQuarantined"
-        finally:
-            faultinject.clear()
-            ex.registry.close()
-        _no_own_segments()
 
 
 # ----------------------------------------------------------- deadlines
@@ -1242,48 +1230,6 @@ class TestRetryingClient:
         assert "explicit-1" in server.executor._idem
 
 
-# -------------------------------------------- republish fault handling
-
-
-class TestReplaceGraphRepublish:
-    def test_republish_failure_unlinks_old_and_degrades_once(self):
-        ex = ServeExecutor()
-        try:
-            assert ex.execute(_req())["status"] == "ok"
-            entry = ex.registry._entries[("ppa", 0)]
-            old_name = entry["shm"].name
-            assert old_name in {s["name"]
-                                for s in shm_lifecycle.list_segments()}
-
-            g, _spec = ex.registry.graph("ppa", 0)
-            u, v = _new_edge_for(g)
-            faultinject.install("shm.publish:oserror:graph=ppa")
-            r1 = ex.execute({"op": "update_graph", "graph": "ppa", "seed": 0,
-                             "add": [[u, v, 2.5]], "remove": []})
-            assert r1["status"] == "ok"
-            # the pre-update segment is gone even though publishing the
-            # replacement failed — no orphan survives the swap
-            assert ex.registry._entries[("ppa", 0)]["shm"] is None
-            assert old_name not in {s["name"]
-                                    for s in shm_lifecycle.list_segments()}
-            assert len(ex.registry.degradations) == 1
-            assert ex.registry.degradations[0]["site"] == "serve.republish"
-
-            g2, _spec = ex.registry.graph("ppa", 0)
-            u2, v2 = _new_edge_for(g2)
-            r2 = ex.execute({"op": "update_graph", "graph": "ppa", "seed": 0,
-                             "add": [[u2, v2, 1.5]], "remove": []})
-            assert r2["status"] == "ok"
-            # a flaky /dev/shm is recorded once, not once per request
-            assert len(ex.registry.degradations) == 1
-            # the tenant still serves in-process
-            assert ex.execute(_req())["status"] == "ok"
-        finally:
-            faultinject.clear()
-            ex.registry.close()
-        _no_own_segments()
-
-
 # ------------------------------------------- SIGKILL + warm restart
 
 
@@ -1316,18 +1262,16 @@ class TestCrashRecoveryDaemon:
             if proc1.poll() is None:
                 proc1.kill()
                 proc1.wait(timeout=10)
-        # the kill leaked the published tenant — its owner is dead
+        # tenants live only in the daemon's memory: even a SIGKILL, which
+        # skips every cleanup step, leaves no segment behind
         leaked = [s for s in shm_lifecycle.list_segments()
                   if s["pid"] == pid1]
-        assert leaked, "expected the SIGKILL to leak the published segment"
+        assert leaked == [], leaked
 
         proc2, sock2 = _spawn_daemon(
             crash_dir, "--recover", str(crash_dir / "log"))
         proc3 = None
         try:
-            # recovery swept the dead owner's segments before republishing
-            assert [s for s in shm_lifecycle.list_segments()
-                    if s["pid"] == pid1] == []
             with ServeClient(sock2, timeout=120.0) as c:
                 rec = c.request({"op": "status"})["recovery"]
                 assert rec["tenants"] == 1

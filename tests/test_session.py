@@ -702,27 +702,3 @@ class TestSignalCleanup:
         name = proc.stdout.decode().split()[0]
         assert "UNREACHABLE" not in proc.stdout.decode()
         assert not any(s["name"] == name for s in shm_lifecycle.list_segments())
-
-
-class TestPresharedDescriptors:
-    def test_run_session_uses_caller_owned_segments(self):
-        """descriptors= skips publish and leaves the segments alive."""
-        from repro.parallel.pool import _release, publish_corpus
-
-        descriptors, handles, _sizes = publish_corpus(
-            [(t.graph, t.seed) for t in TASKS]
-        )
-        try:
-            outcome = run_session(TASKS, jobs=2, descriptors=descriptors)
-            assert len(outcome.results) == len(TASKS)
-            assert outcome.failed == []
-            # the session must NOT have released the caller's segments
-            names = {h.name for h in handles}
-            live = {s["name"] for s in shm_lifecycle.list_segments()}
-            assert names <= live
-            # rows match a serial run bit for bit
-            serial = run_session(TASKS, jobs=1)
-            assert _rows_key(outcome.results) == _rows_key(serial.results)
-        finally:
-            _release(handles)
-        _no_leaks()
