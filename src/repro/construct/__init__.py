@@ -15,7 +15,7 @@ from .reference import construct_reference
 from .spgemm import CSRMatrix, spgemm, spgemm_rowwise_reference, transpose
 from .spgemm_construct import aggregation_matrix, construct_spgemm
 from .vertex_hash import construct_hash, hashed_dedup
-from .vertex_sort import construct_sort, sorted_dedup
+from .vertex_sort import construct_sort
 
 __all__ = [
     "available_constructors",
@@ -29,7 +29,6 @@ __all__ = [
     "degree_estimates",
     "keep_lighter_end",
     "construct_sort",
-    "sorted_dedup",
     "construct_hash",
     "hashed_dedup",
     "construct_spgemm",

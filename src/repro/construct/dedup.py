@@ -8,18 +8,30 @@ per-vertex dedup bins small — a hub's bin would otherwise hold nearly all
 of the graph.  The paper measures this optimization at 25.7x on kron21's
 construction time and enables it selectively using the max-degree to
 average-degree ratio (Section III-B); regular meshes gain nothing, so the
-sweep is skipped there.
+sweep is skipped there.  :func:`construct_binned` is the Algorithm 6 frame
+that the hash and heap strategies share around their dedup kernels.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from ..coarsen.base import CoarseMapping
+from ..csr.graph import CSRGraph
 from ..parallel.cost import KernelCost
 from ..parallel.execspace import ExecSpace
 from ..types import VI
+from .base import coarse_vertex_weights, finalize_csr, mapped_cross_edges
 
-__all__ = ["SKEW_THRESHOLD", "is_skewed", "degree_estimates", "keep_lighter_end"]
+__all__ = [
+    "SKEW_THRESHOLD",
+    "is_skewed",
+    "degree_estimates",
+    "keep_lighter_end",
+    "construct_binned",
+]
 
 _B = 8
 
@@ -88,3 +100,51 @@ def keep_lighter_end(
         ),
     )
     return keep
+
+
+def construct_binned(
+    g: CSRGraph,
+    mapping: CoarseMapping,
+    space: ExecSpace,
+    strategy: str,
+    dedup: Callable,
+) -> CSRGraph:
+    """Algorithm 6 around a per-bin dedup kernel ``dedup(mu, mv, w, n_c, space)``.
+
+    The frame of the hash and heap strategies: map the directed edges
+    to coarse space, then dedup inside the ``dedup`` span labelled
+    ``strategy``.  On skewed graphs the keep-side sweep first halves the
+    bins and the transpose pass (GraphConsWithTrans) restores symmetric
+    storage afterwards.
+    """
+    n_c = mapping.n_c
+    skewed = is_skewed(g)
+    mu, mv, w, tie, _ = mapped_cross_edges(
+        g, mapping, space, with_endpoints="tie" if skewed else False
+    )
+    vwgts = coarse_vertex_weights(g, mapping, space)
+
+    with space.span("dedup", strategy=strategy, skew_opt=skewed):
+        if skewed:
+            c_prime = degree_estimates(mu, n_c, space)
+            keep = keep_lighter_end(mu, mv, None, None, c_prime, space, tie=tie)
+            mu, mv, w = mu[keep], mv[keep], w[keep]
+        mu, mv, w = dedup(mu, mv, w, n_c, space)
+    if skewed:
+        mu, mv = np.concatenate([mu, mv]), np.concatenate([mv, mu])
+        w = np.concatenate([w, w])
+        space.ledger.charge(
+            "construction",
+            KernelCost(
+                stream_bytes=6.0 * _B * len(mu),
+                random_bytes=2.0 * _B * len(mu),
+                atomic_ops=float(len(mu)) / 2.0,
+                launches=2,
+            ),
+        )
+    else:
+        space.ledger.charge(
+            "construction",
+            KernelCost(stream_bytes=4.0 * _B * len(mu), launches=1),
+        )
+    return finalize_csr(n_c, mu, mv, w, vwgts, g.name)

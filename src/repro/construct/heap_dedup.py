@@ -22,13 +22,8 @@ from ..csr.graph import CSRGraph
 from ..parallel.cost import KernelCost
 from ..parallel.execspace import ExecSpace
 from ..types import VI, WT
-from .base import (
-    coarse_vertex_weights,
-    finalize_csr,
-    mapped_cross_edges,
-    register_constructor,
-)
-from .dedup import degree_estimates, is_skewed, keep_lighter_end
+from .base import register_constructor
+from .dedup import construct_binned
 
 __all__ = ["construct_heap", "heap_dedup"]
 
@@ -85,35 +80,4 @@ def heap_dedup(
 @register_constructor("heap")
 def construct_heap(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSRGraph:
     """Algorithm 6 with heap-based deduplication."""
-    n_c = mapping.n_c
-    skewed = is_skewed(g)
-    mu, mv, w, tie, _ = mapped_cross_edges(
-        g, mapping, space, with_endpoints="tie" if skewed else False
-    )
-    vwgts = coarse_vertex_weights(g, mapping, space)
-
-    if skewed:
-        with space.span("dedup", strategy="heap", skew_opt=True):
-            c_prime = degree_estimates(mu, n_c, space)
-            keep = keep_lighter_end(mu, mv, None, None, c_prime, space, tie=tie)
-            mu, mv, w = mu[keep], mv[keep], w[keep]
-            mu, mv, w = heap_dedup(mu, mv, w, n_c, space)
-        mu, mv = np.concatenate([mu, mv]), np.concatenate([mv, mu])
-        w = np.concatenate([w, w])
-        space.ledger.charge(
-            "construction",
-            KernelCost(
-                stream_bytes=6.0 * _B * len(mu),
-                random_bytes=2.0 * _B * len(mu),
-                atomic_ops=float(len(mu)) / 2.0,
-                launches=2,
-            ),
-        )
-    else:
-        with space.span("dedup", strategy="heap", skew_opt=False):
-            mu, mv, w = heap_dedup(mu, mv, w, n_c, space)
-        space.ledger.charge(
-            "construction",
-            KernelCost(stream_bytes=4.0 * _B * len(mu), launches=1),
-        )
-    return finalize_csr(n_c, mu, mv, w, vwgts, g.name)
+    return construct_binned(g, mapping, space, "heap", heap_dedup)

@@ -200,10 +200,10 @@ class PoisonTracker:
 
     A strike is an executor-level death attributable to one request: a
     dangling ``exec-begin`` found at recovery (the in-process executor
-    *is* the daemon, so the request took the whole process down) or a
-    journaled ``poison`` record.  At ``threshold`` strikes the digest is
-    quarantined: the request gets a typed ``PoisonQuarantined`` error
-    and never reaches an executor again, while its tenant stays live.
+    *is* the daemon, so the request took the whole process down).  At
+    ``threshold`` strikes the digest is quarantined: the request gets a
+    typed ``PoisonQuarantined`` error and never reaches an executor
+    again, while its tenant stays live.
     """
 
     def __init__(self, threshold: int = 2):
@@ -328,9 +328,6 @@ def recover_executor(executor, directory, *, strict: bool = False) -> dict:
                     open_exec.pop(digest, None)
                 else:
                     open_exec[digest] -= 1
-            elif rtype == "poison":
-                executor.poison.strike(rec["digest"])
-                summary["poison_strikes"].append(rec["digest"])
     finally:
         executor.recovering = False
     for digest, count in open_exec.items():

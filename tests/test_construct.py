@@ -156,22 +156,22 @@ class TestKeepSide:
         seen = {}
         import repro.construct.vertex_sort as vs
 
-        real = vs.sorted_dedup
+        real = vs._dedup_keys
 
-        def spy(mu, mv, w, n_c, space, phase="construction", packed=None):
-            seen["entries"] = len(packed if packed is not None else mu)
-            return real(mu, mv, w, n_c, space, phase, packed=packed)
+        def spy(key, w, key_bound, bounds, eng=None):
+            seen["entries"] = len(key)
+            return real(key, w, key_bound, bounds, eng)
 
-        monkeypatch.setattr(vs, "sorted_dedup", spy)
+        monkeypatch.setattr(vs, "_dedup_keys", spy)
         vs.construct_sort(g, mp, gpu_space(0))
         with_opt = seen["entries"]
         # without the sweep, dedup would see both directed copies of
         # every cross edge; the sweep keeps exactly one per edge
         cross = m[g.edge_sources()] != m[g.adjncy]
         assert with_opt * 2 == int(cross.sum())
-        # the regular path is fully fused and never materialises a
-        # separate dedup input at all
+        # the regular path skips the sweep: its dedup sees every cross
+        # entry
         seen.clear()
         monkeypatch.setattr(dedup_mod, "SKEW_THRESHOLD", float("inf"))
         vs.construct_sort(g, mp, gpu_space(0))
-        assert "entries" not in seen
+        assert seen["entries"] == int(cross.sum())

@@ -919,7 +919,8 @@ class TestRecovery:
         j = ServeJournal(tmp_path)
         j.open()
         j.append({"type": "tenant", "graph": "ppa", "seed": 0})
-        j.append({"type": "poison", "digest": digest})
+        # two daemon deaths inside the same request: two dangling brackets
+        j.append({"type": "exec-begin", "digest": digest, "op": "cluster"})
         j.append({"type": "exec-begin", "digest": digest, "op": "cluster"})
         j.close()
         ex = ServeExecutor()

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import run_coarsening
-from repro.construct import construct_sort
+from repro.construct import construct_sort, is_skewed
 from repro.csr import CSRGraph
 from repro.csr import validation as csr_validation
 from repro.generators import corpus
+from repro.generators.kron import rmat
 from repro.storage import budget as budget_mod
 from repro.storage import chunked, mapped
 from repro.storage.budget import MemoryBudget, parse_budget
@@ -145,9 +146,17 @@ class TestBudgetedConstructParity:
         from repro.trace.core import Tracer
 
         if skewed:
-            g = skewed_graph()
+            # a star-heavy graph (one hub) and an rmat graph whose many
+            # budget windows carry tied degree estimates; weighted: the
+            # rmat graph's first coarse level, skewed too
+            rm = rmat(11, 8, seed=1, name="skew-rmat11")
+            if weighted:
+                sp = gpu_space(0)
+                graphs = [construct_sort(rm, hec_parallel(rm, sp), sp)]
+            else:
+                graphs = [skewed_graph(), rm]
         else:
-            g = random_connected(300, 500, seed=4, weighted=weighted)
+            graphs = [random_connected(300, 500, seed=4, weighted=weighted)]
 
         def one(graph, budget_bytes):
             space = gpu_space(0)
@@ -161,18 +170,20 @@ class TestBudgetedConstructParity:
             tr.close()
             return gc, tr.to_dict()
 
-        ref_g, ref_t = one(g, None)
-        path = tmp_path / "g.csrdir"
-        g.to_mapped(path)
-        gm = CSRGraph.from_mapped(path)
-        got_g, got_t = one(gm, 32 * 1024)
+        for i, g in enumerate(graphs):
+            assert is_skewed(g) == skewed and g.has_unit_ewgts() != weighted
+            ref_g, ref_t = one(g, None)
+            path = tmp_path / f"g{i}.csrdir"
+            g.to_mapped(path)
+            gm = CSRGraph.from_mapped(path)
+            got_g, got_t = one(gm, 32 * 1024)
 
-        for a, b in zip(
-            (ref_g.xadj, ref_g.adjncy, ref_g.ewgts, ref_g.vwgts),
-            (got_g.xadj, got_g.adjncy, got_g.ewgts, got_g.vwgts),
-        ):
-            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-        assert ref_t == got_t
+            for a, b in zip(
+                (ref_g.xadj, ref_g.adjncy, ref_g.ewgts, ref_g.vwgts),
+                (got_g.xadj, got_g.adjncy, got_g.ewgts, got_g.vwgts),
+            ):
+                np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+            assert ref_t == got_t
 
     def test_budget_engaged_and_planned_bound(self, tmp_path):
         g = random_connected(20_000, 60_000, seed=7)

@@ -19,7 +19,7 @@ import pytest
 from repro.bench.harness import run_coarsening, run_partition, space_for
 from repro.coarsen.hec import heavy_neighbors, hec_parallel
 from repro.coarsen.hem import unmatched_heavy_neighbors
-from repro.construct import construct_sort
+from repro.construct import construct_sort, is_skewed
 from repro.csr import CSRGraph
 from repro.generators.kron import rmat
 from repro.parallel import tiles
@@ -382,20 +382,31 @@ class TestKernelParity:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("te", TILE_SIZES)
-    def test_construct_sort(self, big, te):
-        s1, s2 = space_for("gpu"), space_for("gpu")
-        mapping = hec_parallel(big, s1)
-        want = construct_sort(big, mapping, s1)
-        with tiles.limit(TileEngine(4, te)):
-            mapping2 = hec_parallel(big, s2)
-            got = construct_sort(big, mapping2, s2)
-        assert mapping2.m.tobytes() == mapping.m.tobytes()
-        for a, b in (
-            (want.xadj, got.xadj), (want.adjncy, got.adjncy),
-            (want.ewgts, got.ewgts), (want.vwgts, got.vwgts),
-        ):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        assert ledger_dict(s1) == ledger_dict(s2)
+    def test_construct_sort(self, big, te, monkeypatch):
+        """``big`` (skewed, unit weights) and its first coarse level
+        (skewed, weighted), so the count pass, its carried windows and
+        both keep-side sweeps run on tiles.  The coarse level sits below
+        the engage floor; the floor is lowered so that every tile size
+        under ``m`` engages on it too."""
+        s0 = space_for("gpu")
+        level1 = construct_sort(big, hec_parallel(big, s0), s0)
+        assert is_skewed(level1) and not level1.has_unit_ewgts()
+        monkeypatch.setattr(tiles, "_ENGAGE_ENTRIES", 0)
+        for g in (big, level1):
+            s1, s2 = space_for("gpu"), space_for("gpu")
+            mapping = hec_parallel(g, s1)
+            want = construct_sort(g, mapping, s1)
+            with tiles.limit(TileEngine(4, te)) as eng:
+                mapping2 = hec_parallel(g, s2)
+                got = construct_sort(g, mapping2, s2)
+            assert (eng.kernels > 0) == (te < g.m_directed)
+            assert mapping2.m.tobytes() == mapping.m.tobytes()
+            for a, b in (
+                (want.xadj, got.xadj), (want.adjncy, got.adjncy),
+                (want.ewgts, got.ewgts), (want.vwgts, got.vwgts),
+            ):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            assert ledger_dict(s1) == ledger_dict(s2)
 
 
 # ----------------------------------------------------- full-run invariance
