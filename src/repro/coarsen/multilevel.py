@@ -37,6 +37,10 @@ class GraphHierarchy:
     graphs: list[CSRGraph]
     mappings: list[CoarseMapping]
     stats: dict = field(default_factory=dict)
+    #: Fiedler embeddings of this hierarchy, kept by
+    #: :func:`repro.partition.multilevel.spectral_vector`: ``(machine,
+    #: power_tol) -> (entry RNG state, (x, iters, tape) or None)``
+    embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def levels(self) -> int:

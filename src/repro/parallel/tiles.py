@@ -182,7 +182,15 @@ def _tile_call(fn, tile):
 
 # ------------------------------------------------------------ installation
 
-_ACTIVE = threading.local()
+class _Active(threading.local):
+    """Per-thread install state; the class attributes are every
+    thread's defaults, so a read never takes a missing-attribute path."""
+
+    in_tile = False
+    engine: TileEngine | None = None
+
+
+_ACTIVE = _Active()
 _GLOBAL: TileEngine | None = None
 
 
@@ -192,9 +200,9 @@ def current() -> TileEngine | None:
     Thread-local installs (``limit``) win over the process-global one
     (``configure``); tile worker threads always see None.
     """
-    if getattr(_ACTIVE, "in_tile", False):
+    if _ACTIVE.in_tile:
         return None
-    eng = getattr(_ACTIVE, "engine", None)
+    eng = _ACTIVE.engine
     return eng if eng is not None else _GLOBAL
 
 
@@ -222,7 +230,7 @@ def limit(engine: TileEngine | int | None):
     owned = None
     if isinstance(engine, int):
         engine = owned = TileEngine(engine)
-    prev = getattr(_ACTIVE, "engine", None)
+    prev = _ACTIVE.engine
     _ACTIVE.engine = engine
     try:
         yield engine

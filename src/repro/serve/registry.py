@@ -267,8 +267,17 @@ class HierarchyCache:
     def stats(self) -> dict:
         with self._lock:
             lookups = self.hits + self.misses
+            # cached hierarchies holding a recorded Fiedler embedding
+            # (``GraphHierarchy.embeddings``, kept by ``spectral_vector``;
+            # listed first, as the dispatcher may add one meanwhile)
+            embeddings = sum(
+                any(kept is not None for _, kept in
+                    list(getattr(h, "embeddings", {}).values()))
+                for h, _tape in self._entries.values()
+            )
             return {
                 "entries": len(self._entries),
+                "embeddings": embeddings,
                 "builds": self.builds,
                 "hits": self.hits,
                 "misses": self.misses,

@@ -81,12 +81,19 @@ class MemoryBudget:
         self.engaged += 1
 
 
-_ACTIVE = threading.local()
+class _Active(threading.local):
+    """Per-thread install state; the class attribute is every thread's
+    default, so a read never takes a missing-attribute path."""
+
+    budget: MemoryBudget | None = None
+
+
+_ACTIVE = _Active()
 
 
 def current() -> MemoryBudget | None:
     """The budget installed on this thread, or None (unbudgeted)."""
-    return getattr(_ACTIVE, "budget", None)
+    return _ACTIVE.budget
 
 
 @contextmanager
@@ -101,7 +108,7 @@ def limit(budget: MemoryBudget | int | None):
         return
     if isinstance(budget, int):
         budget = MemoryBudget(budget)
-    prev = getattr(_ACTIVE, "budget", None)
+    prev = _ACTIVE.budget
     _ACTIVE.budget = budget
     try:
         yield budget

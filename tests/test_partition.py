@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.coarsen.multilevel import GraphHierarchy, coarsen_multilevel
 from repro.csr import from_edge_list
+from repro.generators import corpus
 from repro.parallel import cpu_space, gpu_space
 from repro.partition import (
     compute_gains,
@@ -21,6 +23,7 @@ from repro.partition import (
     spectral_bisect,
     validate_partition,
 )
+from repro.partition.multilevel import spectral_vector
 from repro.partition.spectral import fiedler_dense
 
 from tests.conftest import grid_graph, path_graph, random_connected, two_triangles
@@ -217,6 +220,62 @@ class TestMultilevelBisect:
         res = multilevel_bisect(g, gpu_space(1), coarsener=coarsener)
         validate_partition(g, res.part)
         assert res.stats["imbalance"] <= 1.0 / (g.n // 2)
+
+
+class TestEmbeddingReuse:
+    """``spectral_vector`` keeps one embedding per hierarchy: the first
+    read computes it, the second records it, later reads replay it."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        # stops above the dense threshold (569 coarsest vertices), so the
+        # coarsest solve draws its start vector from the RNG
+        g, _ = corpus.load("delaunay24", 0)
+        h = coarsen_multilevel(g, gpu_space(0), cutoff=600)
+        assert h.coarsest.n > 512
+        return h
+
+    @staticmethod
+    def _fresh(h):
+        return GraphHierarchy(h.graphs, h.mappings, h.stats)
+
+    @staticmethod
+    def _read(h, seed=7):
+        space = gpu_space(seed)
+        space.rng.standard_normal(3)  # enter mid-stream, as after a build
+        entry = space.rng.bit_generator.state
+        x, iters = spectral_vector(h, space)
+        ledger = {p: space.ledger.phase(p).as_dict() for p in space.ledger.phases()}
+        return x, iters, space.rng.bit_generator.state, ledger, entry
+
+    def test_replay_equals_recomputation(self, deep):
+        want_x, want_iters, want_rng, want_ledger, entry = self._read(self._fresh(deep))
+        assert want_rng != entry  # the embedding really drew
+        h = self._fresh(deep)
+        reads = [self._read(h) for _ in range(3)]  # plain, recorded, replayed
+        for x, iters, rng, ledger, _ in reads:
+            assert x.tobytes() == want_x.tobytes()
+            assert iters == want_iters
+            assert rng == want_rng
+            assert ledger == want_ledger
+        assert not reads[2][0].flags.writeable
+        ((_, kept),) = h.embeddings.values()
+        assert kept is not None
+
+    def test_one_read_keeps_no_embedding(self, deep):
+        h = self._fresh(deep)
+        self._read(h)
+        ((_, kept),) = h.embeddings.values()
+        assert kept is None
+
+    def test_other_entry_state_recomputes(self, deep):
+        h = self._fresh(deep)
+        self._read(h)
+        self._read(h)  # recorded at seed 7's entry state
+        x, iters, rng, ledger, _ = self._read(h, seed=8)
+        want = self._read(self._fresh(deep), seed=8)
+        assert x.tobytes() == want[0].tobytes()
+        assert (iters, rng, ledger) == want[1:4]
 
 
 class TestBaselines:

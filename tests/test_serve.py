@@ -19,11 +19,13 @@ from pathlib import Path
 import pytest
 
 from repro import faultinject
+from repro.bench.harness import run_partition_kway
 from repro.coarsen import multilevel as ml
 from repro.generators import corpus
 from repro.parallel import shm as shm_lifecycle
-from repro.parallel.pool import ExperimentTask, _execute
+from repro.parallel.pool import ExperimentTask, _execute, row_from_result
 from repro.parallel.session import SessionJournal
+from repro.partition import multilevel as pml
 from repro.serve import (
     FrameTimeout,
     GraphRegistry,
@@ -71,6 +73,32 @@ def _req(op="partition", graph="ppa", **over):
 
 def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True)
+
+
+def _kway_row(graph, k, seed=0) -> dict:
+    """A k-way row from a fresh coarsening: no hierarchy, no embedding
+    reused."""
+    g, spec = corpus.load(graph, seed)
+    return row_from_result(run_partition_kway(g, spec, k=k, seed=seed, oom=False))
+
+
+def _bisect_row(graph, seed=0) -> dict:
+    return _execute(ExperimentTask(kind="partition", graph=graph, seed=seed,
+                                   refinement="spectral", oom=False))
+
+
+def _count_embeds(monkeypatch) -> list:
+    """Count the embedding computations ``spectral_vector`` runs (plain
+    or recorded; a replay computes nothing)."""
+    calls = []
+    real = pml._embed
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pml, "_embed", counting)
+    return calls
 
 
 def _no_own_segments():
@@ -238,7 +266,10 @@ class TestServeExecutor:
 
 class TestHierarchyReuse:
     def test_k_sweep_coarsens_exactly_once(self, monkeypatch):
-        """The acceptance criterion: k ∈ {2..64} on one graph → 1 build."""
+        """The acceptance criterion: k ∈ {2..64} on one graph → 1 build,
+        and 2 embedding computations (once plain, once recorded; later
+        reads replay).  Every k-way row, trace included, equals a
+        reuse-free run's."""
         calls = []
         real = ml._coarsen_levels
 
@@ -247,21 +278,50 @@ class TestHierarchyReuse:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ml, "_coarsen_levels", counting)
+        embeds = _count_embeds(monkeypatch)
         ex = ServeExecutor()
         try:
-            cuts = {}
+            rows = {}
             for k in range(2, 65):
                 resp = ex.execute(_req(k=k))
                 assert resp["status"] == "ok", resp
-                cuts[k] = resp["row"]["cut"]
+                rows[k] = resp["row"]
             stats = ex.hierarchies.stats()
             assert stats["builds"] == 1
             assert stats["hits"] == 62
+            assert stats["embeddings"] == 1
             assert len(calls) == 1  # the ledger-level truth: one coarsening
+            assert len(embeds) == 2
             # the sweep actually partitioned at every k
-            assert all(cuts[k] > 0 for k in cuts)
+            assert all(rows[k]["cut"] > 0 for k in rows)
+            for k in range(3, 65):
+                assert _canon(rows[k]) == _canon(_kway_row("ppa", k)), k
         finally:
             ex.registry.close()
+        _no_own_segments()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("order", [
+        (3, 4, 2, 5, 2),  # recorded in a k-way span, replayed in bisections
+        (2, 2, 3, 2, 8),  # recorded in a bisection, replayed in k-way reads
+    ])
+    def test_embedding_replays_across_bisection_and_kway(self, order, threads):
+        """Spectral bisections and k-way reads share one embedding in
+        either nesting order, and every row equals a reuse-free run's."""
+        from repro.parallel import tiles
+
+        ex = ServeExecutor(threads=threads)
+        try:
+            for k in order:
+                resp = ex.execute(_req(graph="delaunay24", refinement="spectral", k=k))
+                assert resp["status"] == "ok", resp
+                want = (_bisect_row("delaunay24") if k == 2
+                        else _kway_row("delaunay24", k))
+                assert _canon(resp["row"]) == _canon(want), k
+            assert ex.hierarchies.stats()["embeddings"] == 1
+        finally:
+            ex.registry.close()
+            tiles.configure(1)
         _no_own_segments()
 
     def test_reuse_spans_ops(self):
@@ -369,6 +429,29 @@ class TestUpdateGraph:
             assert after["row"] != built["row"]  # the graph really changed
         finally:
             ex.registry.close()
+        _no_own_segments()
+
+    def test_update_drops_the_embedding(self):
+        """The patched hierarchy is a new object, so it holds no
+        embedding: the next k-way read recomputes, and equals the read
+        of a fresh executor that replays the same update."""
+        ex, fresh = ServeExecutor(), ServeExecutor()
+        try:
+            for k in (3, 4, 5):
+                assert ex.execute(_req(k=k))["status"] == "ok"
+            assert ex.hierarchies.stats()["embeddings"] == 1
+            g, _spec = ex.registry.graph("ppa", 0)
+            u, v = _new_edge_for(g)
+            update = _update_req(add=[[u, v, 2.5]])
+            assert ex.execute(update)["row"]["hierarchies_patched"] == 1
+            assert ex.hierarchies.stats()["embeddings"] == 0
+            got = ex.execute(_req(k=8))
+            want = [fresh.execute(r) for r in (_req(k=3), update, _req(k=8))][-1]
+            assert got["meta"]["hierarchy"] == "hit"
+            assert _canon(got) == _canon(want)
+        finally:
+            ex.registry.close()
+            fresh.registry.close()
         _no_own_segments()
 
     def test_update_evicts_non_delta_hierarchies(self):
@@ -839,6 +922,30 @@ class TestRecovery:
             assert after["meta"]["hierarchy"] == "hit"
             assert _canon(after["row"]) == _canon(r_k8["row"])
             assert ex2.registry.is_mutated("ppa", 0)
+        finally:
+            ex2.registry.close()
+        _no_own_segments()
+
+    def test_first_kway_read_after_recovery_recomputes(self, tmp_path, monkeypatch):
+        """Embeddings are not journaled: the recovered hierarchy holds
+        none, so its first k-way read computes it, byte-identically."""
+        ex1, j1 = _journaled_executor(tmp_path)
+        try:
+            before = [ex1.execute(_req(k=k)) for k in (3, 4, 5)]
+            assert ex1.hierarchies.stats()["embeddings"] == 1
+        finally:
+            j1.close()
+            ex1.registry.close()
+
+        embeds = _count_embeds(monkeypatch)
+        ex2 = ServeExecutor()
+        try:
+            assert recover_executor(ex2, tmp_path)["hierarchies"] == 1
+            assert ex2.hierarchies.stats()["embeddings"] == 0
+            after = ex2.execute(_req(k=5))
+            assert len(embeds) == 1
+            assert after["meta"]["hierarchy"] == "hit"
+            assert _canon(after) == _canon(before[2])
         finally:
             ex2.registry.close()
         _no_own_segments()
