@@ -442,22 +442,6 @@ def _cmd_corpus(args) -> int:
     return _emit(rows, _COARSEN_COLUMNS, title, args, summary)
 
 
-def _cmd_gc_shm(args) -> int:
-    from ..parallel import shm as shm_lifecycle
-
-    segments = shm_lifecycle.list_segments()
-    removed = shm_lifecycle.sweep_stale()
-    kept = [s for s in segments if s["name"] not in set(removed)]
-    for name in removed:
-        print(f"unlinked stale segment {name}")
-    for seg in kept:
-        print(f"kept {seg['name']} ({seg['bytes']} bytes, "
-              f"owner pid {seg['pid']} alive)")
-    print(f"gc-shm: removed {len(removed)} stale segment(s), "
-          f"kept {len(kept)} live")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
@@ -556,12 +540,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="allowed relative slowdown of the per-graph-best "
                             "sum vs the reference (default 0.30)")
 
-    sub.add_parser(
-        "gc-shm",
-        help="unlink stale repro-* shared-memory segments whose owning "
-             "process is dead (orphans of SIGKILL'd sessions)",
-    )
-
     p_scale = sub.add_parser(
         "scale",
         help="run scale-tier coarsenings in budgeted child processes, "
@@ -598,8 +576,6 @@ def main(argv: list[str] | None = None) -> int:
         from .. import faultinject
 
         faultinject.install(args.faults)
-    if args.command == "gc-shm":
-        return _cmd_gc_shm(args)
     if args.command == "scale":
         from .scale import cmd_scale
 
@@ -608,9 +584,6 @@ def main(argv: list[str] | None = None) -> int:
         from .updates import cmd_update_stream
 
         return cmd_update_stream(args)
-    from ..parallel import shm as shm_lifecycle
-
-    shm_lifecycle.install_signal_cleanup()
     rc = {"coarsen": _cmd_coarsen, "partition": _cmd_partition,
           "corpus": _cmd_corpus}[args.command](args)
     _check_rss_ceiling()

@@ -21,34 +21,9 @@ from ..types import VI, WT, vi_array, wt_array
 
 __all__ = ["CSRGraph"]
 
-#: arrays published by :meth:`CSRGraph.to_shared`, in layout order
-_SHARED_FIELDS = ("xadj", "adjncy", "ewgts", "vwgts")
-
 #: live temporaries per window entry of the weighted-degree pass
 #: (window-local source ids + ewgts window view + bincount scratch)
 _WDEG_BPE = 3 * 8
-
-
-def _attach_shared(name: str):
-    """Attach an existing shared-memory block without taking ownership.
-
-    On Python >= 3.13 the attachment is explicitly untracked
-    (``track=False``): the publisher keeps the only tracked handle and
-    performs the final ``unlink``.  On older versions a plain attach
-    re-registers the name with the resource tracker — harmless here
-    because pool workers are ``multiprocessing`` children sharing the
-    publisher's tracker process, where registration is an idempotent
-    set-add that the publisher's ``unlink`` clears exactly once.
-    (Explicitly *unregistering* after attach — the common bpo-38119
-    workaround for unrelated processes — would remove the publisher's
-    own registration from the shared tracker and must not be done.)
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        return shared_memory.SharedMemory(name=name)
 
 
 @dataclass(frozen=True)
@@ -248,79 +223,6 @@ class CSRGraph:
         from .validation import validate_graph
 
         validate_graph(self)
-
-    # -- shared memory ---------------------------------------------------------
-
-    def to_shared(self, name: str | None = None) -> tuple[dict, object]:
-        """Publish the four CSR arrays into one shared-memory block.
-
-        Returns ``(descriptor, shm)``: the descriptor is a small
-        picklable dict (block name, per-array dtype/count/offset) that
-        worker processes pass to :meth:`from_shared` to map the arrays
-        zero-copy; ``shm`` is the owning handle — the caller keeps it
-        alive while workers run and ``close()``/``unlink()``s it when the
-        fan-out is done.  The graph itself is not modified.  ``name``
-        optionally fixes the segment name (the pool uses sweepable
-        ``repro-<pid>-<seq>`` names, see :mod:`repro.parallel.shm`).
-        """
-        from multiprocessing import shared_memory
-
-        layout = []
-        offset = 0
-        for fname in _SHARED_FIELDS:
-            a = getattr(self, fname)
-            layout.append(
-                {"field": fname, "dtype": a.dtype.str, "count": len(a), "offset": offset}
-            )
-            offset += a.nbytes
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1), name=name)
-        try:
-            for spec in layout:
-                a = getattr(self, spec["field"])
-                view = np.frombuffer(
-                    shm.buf, dtype=a.dtype, count=spec["count"], offset=spec["offset"]
-                )
-                view[:] = a
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        descriptor = {
-            "shm": shm.name,
-            "graph_name": self.name,
-            "nbytes": offset,
-            "layout": layout,
-        }
-        return descriptor, shm
-
-    @classmethod
-    def from_shared(cls, descriptor: dict) -> "CSRGraph":
-        """Map a graph published by :meth:`to_shared`, zero-copy.
-
-        The returned graph's arrays are read-only views into the shared
-        block; the attachment handle is kept alive on the instance, so
-        the mapping stays valid for the graph's lifetime even after the
-        publisher has ``unlink``ed the name.
-        """
-        shm = _attach_shared(descriptor["shm"])
-        arrays = {
-            spec["field"]: np.frombuffer(
-                shm.buf,
-                dtype=np.dtype(spec["dtype"]),
-                count=spec["count"],
-                offset=spec["offset"],
-            )
-            for spec in descriptor["layout"]
-        }
-        g = cls(
-            arrays["xadj"],
-            arrays["adjncy"],
-            arrays["ewgts"],
-            arrays["vwgts"],
-            descriptor.get("graph_name", ""),
-        )
-        object.__setattr__(g, "_shm", shm)
-        return g
 
     # -- out-of-core backing ---------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 Long sweeps are only trustworthy if every recovery path has been walked
 on purpose.  This module provides *scoped injection points*: named call
-sites threaded through the pool worker, shared-memory publish/attach,
-the artifact-cache store, and the session journal, each a one-line
+sites threaded through the pool worker and its spawn, the artifact-cache
+store, the session journal and the serving daemon, each a one-line
 ``fire("site", **labels)`` that is a no-op unless a matching rule is
 armed.  Rules come from a compact spec string (the ``REPRO_FAULTS``
 environment variable or ``--faults`` on the bench CLI), so CI can run a
@@ -20,6 +20,8 @@ Spec grammar (rules separated by ``;``)::
               oserror  -- raise OSError(`errno`, ...), default ENOSPC
               error    -- raise FaultInjected (a generic exception)
 
+A rule must name a site in :data:`SITES`; a stale or misspelt site is
+rejected when the spec is parsed rather than armed to never fire.
 Reserved params steer firing; anything else is matched against the
 labels the call site passes:
 
@@ -31,7 +33,7 @@ labels the call site passes:
 Examples::
 
     pool.worker:oserror:graph=ppa,attempt<2   # first two attempts fail
-    shm.publish:oserror                       # /dev/shm exhausted
+    cache.store:oserror                       # disk full on a cache write
     journal.write:kill:after=3                # die after 3 journal records
     pool.worker:hang:graph=kron21,attempt=0,sleep=600
 
@@ -68,8 +70,6 @@ KINDS = ("crash", "kill", "hang", "oserror", "error")
 SITES = {
     "pool.worker": "worker side, before a task executes (labels: key, graph, attempt)",
     "pool.create": "parent, before worker processes spawn (labels: jobs)",
-    "shm.publish": "parent, before one graph is published to shared memory (labels: graph)",
-    "shm.attach": "worker, before mapping a published graph (labels: graph)",
     "cache.store": "any process, before an artifact-cache entry is written (labels: key)",
     "journal.write": "parent, before one journal record is appended (labels: type, seq)",
     "serve.exec": "serving daemon, before one request executes (labels: op, graph)",
@@ -181,6 +181,10 @@ class FaultPlan:
                     f"malformed fault rule {chunk!r} (want site:kind[:params])"
                 )
             site, kind = parts[0].strip(), parts[1].strip()
+            if site not in SITES:
+                raise ValueError(
+                    f"unknown fault site {site!r}; known: {sorted(SITES)}"
+                )
             params: dict[str, tuple[str, str]] = {}
             for param in ":".join(parts[2:]).split(","):
                 param = param.strip()

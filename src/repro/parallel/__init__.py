@@ -11,7 +11,7 @@ from .cost import CostLedger, KernelCost
 from .execspace import ExecSpace, cpu_space, gpu_space, serial_space
 from .machine import RYZEN32_CPU, TURING_GPU, MachineModel
 from .memory import MemoryTracker, SimulatedOOM
-from .pool import ExperimentTask, format_pool_summary, publish_corpus
+from .pool import ExperimentTask, format_pool_summary
 from .primitives import (
     compact_nonnegative,
     exclusive_prefix_sum,
@@ -41,7 +41,6 @@ __all__ = [
     "SimulatedOOM",
     "ExperimentTask",
     "format_pool_summary",
-    "publish_corpus",
     "SessionJournal",
     "SessionMismatch",
     "SessionOutcome",

@@ -11,11 +11,12 @@ executor that schedules them, inline or over supervised workers:
   :meth:`~ExperimentTask.key` is the configuration identity the
   executor merges results by (:func:`_check_unique` rejects duplicates).
   :func:`task_weight` is its tier-aware largest-first (LPT) weight.
-* **Shared-memory corpus.**  :func:`publish_corpus` loads each needed
-  corpus graph once in the parent and publishes its CSR arrays via
-  ``multiprocessing.shared_memory``; :func:`_release` closes and unlinks
-  them.  Workers map them zero-copy (:func:`_worker_graph`) and keep
-  the mapped graphs warm across tasks.
+* **Inherited corpus.**  Before it starts workers, the session loads
+  each needed corpus graph once into :data:`_WORKER_GRAPHS`; forked
+  workers read the same objects copy-on-write, so nothing graph-sized
+  is copied or pickled.  :func:`_worker_graph` resolves a graph from
+  that dict and falls back to the artifact cache (the serial path and a
+  spawned worker fill the dict this way).
 * **Task execution.**  :func:`_run_task` runs one task to a picklable
   envelope around its result row; :func:`row_from_result` is the one
   row builder, shared with the serving daemon so a served row is
@@ -29,17 +30,13 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .. import faultinject
-from ..csr.graph import CSRGraph
 from ..generators.tiers import TIER_SCALES, parse_tier_name
-from ..storage import mapped as mapped_storage
-from . import shm as shm_lifecycle
 
 __all__ = [
     "ExperimentTask",
-    "publish_corpus",
     "row_from_result",
     "task_weight",
     "format_pool_summary",
@@ -49,14 +46,13 @@ __all__ = [
 def task_weight(graph: str, seed: int, sizes: dict) -> int:
     """Tier-aware LPT weight of one ``(graph, seed)`` tenant.
 
-    A measured ``size_measure`` (recorded at publish time) wins.  Mapped
-    scale tiers (``name@x100``) bypass shm publication, and a failed
-    publish measures nothing — without a fallback they weigh 0 and a
-    100x out-of-core tenant is scheduled *last*, becoming exactly the
-    straggler LPT exists to avoid.  The fallback scales the
-    base graph's measured size by the tier factor, and when nothing was
-    measured the tier factor alone still orders tenants correctly
-    relative to each other.
+    A measured ``size_measure`` (recorded when the session loads the
+    corpus) wins.  A tenant nothing measured — a ``task_fn`` session
+    loads no graph — would otherwise weigh 0, and a 100x out-of-core
+    tenant scheduled *last* becomes exactly the straggler LPT exists to
+    avoid.  The fallback scales the base graph's measured size by the
+    tier factor, and when nothing was measured the tier factor alone
+    still orders tenants correctly relative to each other.
     """
     try:
         base, tier = parse_tier_name(graph)
@@ -109,19 +105,12 @@ class ExperimentTask:
 
 # ------------------------------------------------------------- worker side
 
-#: (graph, seed) -> shared-memory descriptor, installed by the initializer
-_DESCRIPTORS: dict = {}
-#: (graph, seed) -> (CSRGraph, GraphSpec): the warm per-worker graph cache
+#: (graph, seed) -> (CSRGraph, GraphSpec): filled by the session before it
+#: forks workers, inherited by them, warm across their tasks
 _WORKER_GRAPHS: dict = {}
-#: degradations this worker performed, drained into each task envelope
-_WORKER_DEGRADATIONS: list = []
 
 
-def _worker_init(descriptors: dict | None, threads: int | None = None) -> None:
-    global _DESCRIPTORS
-    _DESCRIPTORS = dict(descriptors or {})
-    _WORKER_GRAPHS.clear()
-    _WORKER_DEGRADATIONS.clear()
+def _worker_init(threads: int | None = None) -> None:
     if threads is not None:
         # per-worker tile-thread budget (already clamped by the caller so
         # jobs x threads <= cores); exported to any nested children too
@@ -132,37 +121,17 @@ def _worker_init(descriptors: dict | None, threads: int | None = None) -> None:
 
 
 def _worker_graph(name: str, seed: int):
-    """Resolve one corpus graph inside a worker, warmest path first.
+    """Resolve one corpus graph: :data:`_WORKER_GRAPHS`, then the cache.
 
-    Order: the worker's own cache (reused scratch), the shared-memory
-    corpus (zero-copy map), and only then the artifact cache — whose
-    per-entry file lock single-flights any concurrent regeneration.  A
-    failed shared-memory attach (unlinked segment, exhausted maps)
-    degrades to the cache path instead of failing the task; the
-    degradation is reported up through the task envelope.
+    The artifact cache's per-entry file lock single-flights a graph that
+    several spawned workers load at once.
     """
     cached = _WORKER_GRAPHS.get((name, seed))
-    if cached is not None:
-        return cached
-    from ..generators import corpus
+    if cached is None:
+        from ..generators import corpus
 
-    g = spec = None
-    desc = _DESCRIPTORS.get((name, seed))
-    if desc is not None:
-        try:
-            faultinject.fire("shm.attach", graph=name)
-            g = CSRGraph.from_shared(desc)
-            spec = corpus._BY_NAME.get(name)
-        except OSError as e:
-            _WORKER_DEGRADATIONS.append(
-                {"site": "shm.attach", "action": "cache-load",
-                 "graph": name, "error": str(e)}
-            )
-            g = None
-    if g is None:
-        g, spec = corpus.load(name, seed)
-    _WORKER_GRAPHS[(name, seed)] = (g, spec)
-    return g, spec
+        cached = _WORKER_GRAPHS[(name, seed)] = corpus.load(name, seed)
+    return cached
 
 
 def row_from_result(result: dict) -> dict:
@@ -224,83 +193,15 @@ def _run_task(task: ExperimentTask, attempt: int = 0) -> dict:
     )
     t0 = time.perf_counter()
     row = _execute(task)
-    out = {
+    return {
         "key": task.key(),
         "pid": os.getpid(),
         "wall_s": time.perf_counter() - t0,
         "row": row,
     }
-    if _WORKER_DEGRADATIONS:
-        out["degraded"] = list(_WORKER_DEGRADATIONS)
-        _WORKER_DEGRADATIONS.clear()
-    return out
 
 
 # ------------------------------------------------------------- parent side
-
-
-def publish_corpus(pairs: Iterable[tuple[str, int]], *, loader=None):
-    """Load each (graph, seed) once and publish it to shared memory.
-
-    Loading goes through the artifact cache — its per-entry lock is the
-    single-flight guard against another process generating the same
-    graph concurrently.  Returns ``(descriptors, handles, sizes)``;
-    the caller owns the handles and must ``close()``/``unlink()`` them
-    after the fan-out completes (:func:`_release` does both).
-
-    Segments are named ``repro-<pid>-<seq>`` and registered with the
-    :mod:`repro.parallel.shm` live registry, so any exit path short of
-    SIGKILL unlinks them via atexit, and a SIGKILL'd parent's orphans
-    are collectable by ``python -m repro.bench gc-shm``.
-    """
-    if loader is None:
-        from ..generators.corpus import load as loader  # noqa: PLW0127
-
-    descriptors: dict = {}
-    handles: list = []
-    sizes: dict = {}
-    names = shm_lifecycle.segment_names()
-    try:
-        for name, seed in dict.fromkeys(pairs):
-            faultinject.fire("shm.publish", graph=name)
-            g, _spec = loader(name, seed)
-            if mapped_storage.is_mapped(g):
-                # out-of-core tier: already zero-copy shareable through the
-                # page cache — workers reopen the mapped directory via the
-                # artifact cache instead of a shm copy that would defeat
-                # the whole memory budget
-                sizes[(name, seed)] = g.size_measure
-                continue
-            desc = shm = None
-            for _ in range(16):
-                try:
-                    desc, shm = g.to_shared(name=next(names))
-                    break
-                except FileExistsError:
-                    # stale segment from a dead pid-reusing predecessor:
-                    # sweep what is collectable and try the next name
-                    shm_lifecycle.sweep_stale()
-            if shm is None:  # pragma: no cover - 16 live collisions
-                desc, shm = g.to_shared()
-            shm_lifecycle.register(shm)
-            descriptors[(name, seed)] = desc
-            handles.append(shm)
-            sizes[(name, seed)] = g.size_measure
-    except BaseException:
-        _release(handles)
-        raise
-    return descriptors, handles, sizes
-
-
-def _release(handles: Sequence) -> None:
-    for shm in handles:
-        try:
-            shm.close()
-            shm.unlink()
-        except OSError:  # pragma: no cover - already gone
-            pass
-        finally:
-            shm_lifecycle.unregister(shm)
 
 
 def _check_unique(tasks: Sequence[ExperimentTask]) -> None:
@@ -327,11 +228,6 @@ def format_pool_summary(summary: dict) -> str:
     lines = [
         f"pool  {summary['jobs']} worker(s), {summary['tasks']} task(s), "
         f"wall {wall:.3f}s"
-        + (
-            f", corpus {summary['shared_mib']:.1f} MiB shared"
-            if summary.get("shared_mib")
-            else ""
-        )
     ]
     for pid, w in summary["workers"].items():
         pct = 100.0 * w["busy_s"] / wall if wall > 0 else 0.0

@@ -31,11 +31,13 @@ more than one task's work**:
   worker is respawned, and the session continues.  A task exceeding
   ``task_timeout`` is treated as hung: its worker is killed and
   respawned, the attempt charged.
-* **Graceful degradation.**  Shared-memory publish failure falls back
-  to per-worker cache loading (single-flighted by the cache's per-entry
-  lock); worker spawn failure falls back to the serial path.  Both
-  fallbacks produce byte-identical results and are reported in the
-  session summary instead of being silent.
+* **Inherited corpus.**  Before it starts workers, the parent loads each
+  needed graph once into :data:`repro.parallel.pool._WORKER_GRAPHS`;
+  workers are forked from it and read the same pages copy-on-write.
+* **Graceful degradation.**  Worker spawn failure falls back to the
+  serial path, and a journal write failure disarms the journal.  Both
+  produce byte-identical results and are reported in the session
+  summary instead of being silent.
 
 Fault-injection points (:mod:`repro.faultinject`) are threaded through
 every one of these paths so CI can prove each recovery transition.
@@ -59,12 +61,11 @@ from .. import faultinject
 from ..cache.atomic import atomic_write_bytes, fsync_dir
 from ..cache.store import fingerprint_payload
 from .pool import (
+    _WORKER_GRAPHS,
     ExperimentTask,
     _check_unique,
-    _release,
     _run_task,
     _worker_init,
-    publish_corpus,
     task_weight,
 )
 
@@ -81,7 +82,7 @@ __all__ = [
 JOURNAL_NAME = "journal.jsonl"
 JOURNAL_SCHEMA = 1
 
-#: exit code a worker killed for hanging / crashing is reported with
+#: seconds to wait for a killed worker to be reaped
 _KILL_JOIN_S = 5.0
 
 
@@ -228,8 +229,7 @@ class SessionOutcome:
 # ------------------------------------------------------ supervised worker
 
 
-def _worker_main(conn, parent_conn, parent_pid, descriptors, task_fn,
-                 threads=None) -> None:
+def _worker_main(conn, parent_conn, parent_pid, task_fn, threads=None) -> None:
     """Worker process loop: serve ``(task, attempt)`` requests until None.
 
     A forked worker inherits duplicates of the parent-side pipe ends (its
@@ -244,7 +244,7 @@ def _worker_main(conn, parent_conn, parent_pid, descriptors, task_fn,
             parent_conn.close()
         except OSError:  # pragma: no cover
             pass
-    _worker_init(descriptors, threads)
+    _worker_init(threads)
     while True:
         try:
             if not conn.poll(1.0):
@@ -282,11 +282,11 @@ class _Worker:
     the property ``ProcessPoolExecutor`` cannot provide.
     """
 
-    def __init__(self, ctx, descriptors, task_fn, threads=None):
+    def __init__(self, ctx, task_fn, threads=None):
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(child, self.conn, os.getpid(), descriptors, task_fn, threads),
+            args=(child, self.conn, os.getpid(), task_fn, threads),
             daemon=True,
         )
         self.proc.start()
@@ -374,9 +374,6 @@ class _SessionState:
         w["tasks"] += 1
         w["busy_s"] += out["wall_s"]
         self.busy_s += out["wall_s"]
-        for entry in out.get("degraded", ()):
-            self.degradations.append(entry)
-            self.journal_append({"type": "degrade", **entry})
         self.journal_append(
             {"type": "done", "key": key, "attempt": out.get("attempt", 0),
              "digest": row_digest(row), "row": row}
@@ -426,13 +423,13 @@ def _serial_drain(state: _SessionState, pending: list, task_fn) -> None:
         state.success(idx, out)
 
 
-def _spawn_workers(state, ctx, descriptors, task_fn, jobs, threads=None):
+def _spawn_workers(state, ctx, task_fn, jobs, threads=None):
     """Create the supervised worker set; None on total spawn failure."""
     workers: list[_Worker] = []
     try:
         faultinject.fire("pool.create", jobs=jobs)
         for _ in range(jobs):
-            workers.append(_Worker(ctx, descriptors, task_fn, threads))
+            workers.append(_Worker(ctx, task_fn, threads))
     except OSError as e:
         for w in workers:
             w.kill()
@@ -441,8 +438,8 @@ def _spawn_workers(state, ctx, descriptors, task_fn, jobs, threads=None):
     return workers
 
 
-def _pool_drain(state: _SessionState, pending: list, *, jobs, descriptors,
-                task_fn, task_timeout, threads=None) -> list:
+def _pool_drain(state: _SessionState, pending: list, *, jobs, task_fn,
+                task_timeout, threads=None) -> list:
     """Drain the pending queue over supervised workers.
 
     Returns a (possibly empty) list of still-pending entries — non-empty
@@ -452,13 +449,13 @@ def _pool_drain(state: _SessionState, pending: list, *, jobs, descriptors,
     ctx = mp.get_context(
         "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     )
-    workers = _spawn_workers(state, ctx, descriptors, task_fn, jobs, threads)
+    workers = _spawn_workers(state, ctx, task_fn, jobs, threads)
     if workers is None:
         return pending
 
     def respawn(i: int) -> bool:
         try:
-            workers[i] = _Worker(ctx, descriptors, task_fn, threads)
+            workers[i] = _Worker(ctx, task_fn, threads)
             return True
         except OSError as e:
             state.degrade("pool.respawn", "serial-fallback", e)
@@ -621,14 +618,15 @@ def run_session(
 
     ``jobs <= 1`` runs everything inline in this process (the serial
     reference path); larger values fan out over supervised workers
-    seeded with the shared-memory corpus.  Results come back in caller
-    task order, byte-identical at any ``jobs``, with the journal/resume,
-    retry/quarantine, and degradation machinery described in the module
-    docstring.  Task keys must be unique (``ValueError`` otherwise).
-    ``session_dir`` enables the journal; passing the same directory
-    again resumes.  Quarantined tasks appear in ``outcome.failed`` (and
-    ``summary["failed"]``) instead of raising.  ``task_fn`` replaces the
-    harness run of one task (a picklable ``task -> envelope`` callable).
+    forked after the corpus is loaded, so they inherit it.  Results come
+    back in caller task order, byte-identical at any ``jobs``, with the
+    journal/resume, retry/quarantine, and degradation machinery described
+    in the module docstring.  Task keys must be unique (``ValueError``
+    otherwise).  ``session_dir`` enables the journal; passing the same
+    directory again resumes.  Quarantined tasks appear in
+    ``outcome.failed`` (and ``summary["failed"]``) instead of raising.
+    ``task_fn`` replaces the harness run of one task (a picklable
+    ``task -> envelope`` callable).
 
     ``threads`` is the intra-run tile-thread budget
     (:mod:`repro.parallel.tiles`): the serial path installs the engine
@@ -662,11 +660,12 @@ def run_session(
                 )
             journal.open(truncate_to=valid)
             journal.seq = len(records)
+            key_set = set(keys)
             for rec in records[1:]:
                 if rec.get("type") != "done":
                     continue
                 key, row = rec.get("key"), rec.get("row")
-                if key not in set(keys) or not isinstance(row, dict):
+                if key not in key_set or not isinstance(row, dict):
                     continue
                 if row_digest(row) != rec.get("digest"):
                     warnings.warn(
@@ -695,33 +694,27 @@ def run_session(
 
     remaining = [i for i, k in enumerate(keys) if k not in state.by_key]
 
-    if validate_corpus and task_fn is None and remaining:
-        from ..generators import corpus
-
-        for name, seed in dict.fromkeys(
-            (tasks[i].graph, tasks[i].seed) for i in remaining
-        ):
-            g, _spec = corpus.load(name, seed)
-            g.validate()
-
-    shared_bytes = 0
-    handles: list = []
     eff_jobs = max(1, jobs)
     worker_threads = (
         None if threads is None else tiles.clamp_threads(threads, eff_jobs)
     )
+    sizes: dict = {}
+    _WORKER_GRAPHS.clear()
     try:
+        # the pool's workers inherit these graphs through fork; the
+        # serial path loads each one when its first task runs
+        if task_fn is None and (eff_jobs > 1 or validate_corpus):
+            from ..generators import corpus
+
+            for name, seed in dict.fromkeys(
+                (tasks[i].graph, tasks[i].seed) for i in remaining
+            ):
+                g, spec = corpus.load(name, seed)
+                if validate_corpus:
+                    g.validate()
+                sizes[(name, seed)] = g.size_measure
+                _WORKER_GRAPHS[(name, seed)] = (g, spec)
         if remaining and eff_jobs > 1:
-            descriptors: dict = {}
-            sizes: dict = {}
-            if task_fn is None:
-                try:
-                    descriptors, handles, sizes = publish_corpus(
-                        (tasks[i].graph, tasks[i].seed) for i in remaining
-                    )
-                    shared_bytes = sum(d["nbytes"] for d in descriptors.values())
-                except OSError as e:
-                    state.degrade("shm.publish", "per-worker-cache-load", e)
             # LPT: biggest graph first (tier-aware), task order tie-break
             order = sorted(
                 remaining,
@@ -735,23 +728,15 @@ def run_session(
             heapq.heapify(pending)
             state._order = len(pending)
             leftover = _pool_drain(
-                state, pending, jobs=eff_jobs, descriptors=descriptors,
-                task_fn=task_fn, task_timeout=task_timeout,
-                threads=worker_threads,
+                state, pending, jobs=eff_jobs, task_fn=task_fn,
+                task_timeout=task_timeout, threads=worker_threads,
             )
             if leftover:
-                # degraded to serial: attach the published corpus (if
-                # any) in-process so the drain still maps zero-copy
-                _worker_init(descriptors, worker_threads)
-                try:
-                    _serial_drain(state, leftover, task_fn)
-                finally:
-                    # drop the parent's zero-copy attachments *before*
-                    # the handles are unlinked, so teardown order never
-                    # trips "cannot close exported pointers exist"
-                    _worker_init({})
+                # degraded to serial: the corpus is already in this process
+                _worker_init(worker_threads)
+                _serial_drain(state, leftover, task_fn)
         elif remaining:
-            _worker_init({}, worker_threads)
+            _worker_init(worker_threads)
             pending = [(0.0, pos, idx, 0) for pos, idx in enumerate(remaining)]
             heapq.heapify(pending)
             state._order = len(pending)
@@ -762,7 +747,7 @@ def run_session(
             journal.close()
         raise
     finally:
-        _release(handles)
+        _WORKER_GRAPHS.clear()
 
     wall = time.perf_counter() - t_start
     results = [state.by_key[k] for k in keys if k in state.by_key]
@@ -774,7 +759,6 @@ def run_session(
         "busy_s": state.busy_s,
         "utilization": state.busy_s / (eff_jobs * wall) if wall > 0 else 0.0,
         "overhead_s": max(0.0, wall - state.busy_s / eff_jobs),
-        "shared_mib": shared_bytes / (1024 * 1024),
         "workers": {pid: dict(w) for pid, w in sorted(state.workers.items())},
         "retries": state.retried,
         "crashes": state.crashes,

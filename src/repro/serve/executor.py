@@ -293,8 +293,6 @@ class ServeExecutor:
         RNG state), so a later cache hit replays the whole lineage —
         charges, spans, tracker calls — exactly as recorded.
         """
-        import copy
-
         from ..bench.harness import space_for
         from ..coarsen.incremental import patch_hierarchy
         from ..trace.tape import Tape
@@ -315,7 +313,7 @@ class ServeExecutor:
                 continue
             space = space_for(machine, seed)
             if tape.rng_state is not None:
-                space.rng.bit_generator.state = copy.deepcopy(tape.rng_state)
+                space.rng.bit_generator.state = tape.rng_state
             patch_tape = Tape()
             try:
                 new_h = patch_hierarchy(

@@ -13,8 +13,7 @@ One mapped graph is a directory::
 whose arrays are read-only ``np.memmap`` views — zero-copy, because
 :func:`repro.types.vi_array` passes a contiguous correctly-typed memmap
 through untouched (the view's ``.base`` chain keeps the mapping alive).
-The open handles are additionally stashed on the instance (mirroring the
-``_shm`` pattern of :meth:`CSRGraph.from_shared`) so
+The open handles are additionally stashed on the instance so
 :func:`advise_dontneed` can drop resident pages mid-stream.
 
 :class:`MappedWriter` builds a mapped graph incrementally, row block by

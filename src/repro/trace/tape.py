@@ -28,7 +28,6 @@ recorded run is itself byte-identical to an unrecorded one.
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager
 
 from ..parallel.cost import KernelCost
@@ -115,7 +114,7 @@ class Tape:
         space.ledger.add_listener(_on_charge)
         try:
             yield self
-            self.rng_state = copy.deepcopy(space.rng.bit_generator.state)
+            self.rng_state = space.rng.bit_generator.state
             self.complete = True
         finally:
             space.ledger.remove_listener(_on_charge)
@@ -163,4 +162,4 @@ class Tape:
             while stack:  # pragma: no cover - only on a malformed tape
                 stack.pop().__exit__(None, None, None)
         if self.rng_state is not None:
-            space.rng.bit_generator.state = copy.deepcopy(self.rng_state)
+            space.rng.bit_generator.state = self.rng_state

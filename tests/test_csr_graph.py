@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.csr import CSRGraph, from_edge_list
+from repro.csr import from_edge_list
 from repro.types import VI, WT
 
 from tests.conftest import grid_graph, ring_graph, star_graph
@@ -110,65 +110,3 @@ class TestConversions:
         assert g.n == ring8.n
         assert ring8.name == "ring8"
 
-
-class TestSharedMemory:
-    def test_round_trip(self, grid6):
-        desc, shm = grid6.to_shared()
-        try:
-            g2 = CSRGraph.from_shared(desc)
-            assert g2.name == grid6.name
-            assert np.array_equal(g2.xadj, grid6.xadj)
-            assert np.array_equal(g2.adjncy, grid6.adjncy)
-            assert np.array_equal(g2.ewgts, grid6.ewgts)
-            assert np.array_equal(g2.vwgts, grid6.vwgts)
-            assert g2.xadj.dtype == VI and g2.ewgts.dtype == WT
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_descriptor_is_picklable_metadata(self, ring8):
-        import pickle
-
-        desc, shm = ring8.to_shared()
-        try:
-            assert desc["nbytes"] == sum(
-                f["count"] * np.dtype(f["dtype"]).itemsize for f in desc["layout"]
-            )
-            assert [f["field"] for f in desc["layout"]] == [
-                "xadj", "adjncy", "ewgts", "vwgts",
-            ]
-            assert pickle.loads(pickle.dumps(desc)) == desc
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_mapping_is_zero_copy_and_readonly(self, ring8):
-        desc, shm = ring8.to_shared()
-        try:
-            g2 = CSRGraph.from_shared(desc)
-            assert not g2.adjncy.flags.writeable
-            with pytest.raises(ValueError):
-                g2.adjncy[0] = 99
-            # a write through the publisher's buffer is visible in the
-            # mapped view: the worker copy never materialised
-            publisher_view = np.frombuffer(
-                shm.buf, dtype=VI, count=desc["layout"][1]["count"],
-                offset=desc["layout"][1]["offset"],
-            )
-            old = int(g2.adjncy[0])
-            publisher_view[0] = old + 41
-            assert int(g2.adjncy[0]) == old + 41
-            publisher_view[0] = old
-            del publisher_view  # release the buffer export so close() works
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_mapped_graph_survives_publisher_unlink(self, grid6):
-        desc, shm = grid6.to_shared()
-        g2 = CSRGraph.from_shared(desc)
-        shm.close()
-        shm.unlink()
-        # the attachment handle kept on the instance pins the block
-        assert int(g2.xadj[-1]) == grid6.m_directed
-        assert g2.degrees().sum() == grid6.m_directed

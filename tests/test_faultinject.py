@@ -36,12 +36,19 @@ class TestSpecParsing:
         assert ("attempt", "<", "2") in rule.matchers
 
     def test_multiple_rules(self):
-        plan = FaultPlan.parse("shm.publish:oserror; journal.write:kill:after=3")
-        assert [r.site for r in plan.rules] == ["shm.publish", "journal.write"]
+        plan = FaultPlan.parse("cache.store:oserror; journal.write:kill:after=3")
+        assert [r.site for r in plan.rules] == ["cache.store", "journal.write"]
 
     def test_malformed_rule_rejected(self):
         with pytest.raises(ValueError, match="malformed fault rule"):
             FaultPlan.parse("justasite")
+
+    def test_unknown_site_rejected(self):
+        # a stale spec fails loudly instead of arming a rule that never fires
+        with pytest.raises(ValueError, match="unknown fault site 'shm.publish'"):
+            FaultPlan.parse("shm.publish:oserror")
+        with pytest.raises(ValueError, match="unknown fault site"):
+            faultinject.install("pool.worker:crash; pool.wroker:crash")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -58,7 +65,7 @@ class TestMatching:
         with pytest.raises(FaultInjected):
             plan.fire("pool.worker", {"graph": "ppa"})
         plan.fire("pool.worker", {"graph": "citation"})  # no match, no fire
-        plan.fire("shm.publish", {"graph": "ppa"})  # different site
+        plan.fire("cache.store", {"graph": "ppa"})  # different site
 
     def test_numeric_less_than(self):
         plan = FaultPlan.parse("pool.worker:error:attempt<2")
@@ -125,10 +132,10 @@ class TestModuleState:
 
     def test_env_var_loads_lazily(self, monkeypatch):
         faultinject.clear()
-        monkeypatch.setenv(faultinject.ENV_VAR, "shm.attach:error")
+        monkeypatch.setenv(faultinject.ENV_VAR, "cache.store:error")
         faultinject._PLAN = faultinject._UNLOADED  # simulate a fresh process
         with pytest.raises(FaultInjected):
-            faultinject.fire("shm.attach", graph="g")
+            faultinject.fire("cache.store", key="g")
 
     def test_reset_zeroes_counters(self):
         faultinject.install("pool.worker:error:times=1")
@@ -144,6 +151,18 @@ class TestModuleState:
         faultinject.fire("pool.worker", graph="anything")  # must not raise
 
     def test_sites_registry_covers_wired_points(self):
-        for site in ("pool.worker", "pool.create", "shm.publish",
-                     "shm.attach", "cache.store", "journal.write"):
-            assert site in faultinject.SITES
+        import re
+        from pathlib import Path
+
+        src = Path(faultinject.__file__).parent
+        wired = {
+            m.group(1)
+            for path in src.rglob("*.py")
+            for m in re.finditer(r'faultinject\.fire\(\s*"([\w.]+)"',
+                                 path.read_text())
+        }
+        assert wired == {
+            "pool.worker", "pool.create", "cache.store", "journal.write",
+            "serve.exec", "serve.journal", "serve.recover", "serve.deadline",
+        }
+        assert set(faultinject.SITES) == wired

@@ -5,6 +5,8 @@ delta wiring."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,28 @@ class TestTapeReplay:
         # the replayed space's RNG lands in the recorded post-patch
         # state: a later patch on top composes deterministically
         assert sp_rep.rng.bit_generator.state == tape.rng_state
+
+    def test_rng_draws_never_reach_the_tape(self, patched_vs_full):
+        """Assigning ``bit_generator.state`` copies values in, and reading
+
+        it returns a fresh dict, so the tape keeps its own RNG state
+        without a deep copy on record or replay."""
+        tape = Tape()
+        sp_rec = space()
+        patch_hierarchy(
+            patched_vs_full["base"], patched_vs_full["g1"],
+            patched_vs_full["delta"], sp_rec, tape=tape,
+        )
+        snapshot = copy.deepcopy(tape.rng_state)
+        sp_rec.rng.random(8)
+        sp_rep = space()
+        tape.replay(sp_rep)
+        draws = sp_rep.rng.random(8)
+        assert tape.rng_state == snapshot
+        again = space()
+        tape.replay(again)
+        assert again.rng.bit_generator.state == snapshot
+        np.testing.assert_array_equal(again.rng.random(8), draws)
 
 
 def dumbbell_graph(blocks: int):

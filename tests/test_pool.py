@@ -1,4 +1,4 @@
-"""Experiment task model and executor: determinism, shm corpus, LPT.
+"""Experiment task model and executor: determinism, inherited corpus, LPT.
 
 Executor cases run through :func:`repro.parallel.session.run_session`
 with ``retries=0``, so a failure surfaces as one quarantined attempt.
@@ -6,18 +6,15 @@ with ``retries=0``, so a failure surfaces as one quarantined attempt.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
 from repro.bench.report import main as bench_main
 from repro.generators import corpus
-from repro.parallel.pool import (
-    ExperimentTask,
-    format_pool_summary,
-    publish_corpus,
-    task_weight,
-)
+from repro.parallel import pool, shm
+from repro.parallel.pool import ExperimentTask, format_pool_summary, task_weight
 from repro.parallel.session import run_session
 from repro.parallel.tiles import usable_cores
 
@@ -128,7 +125,7 @@ class TestPoolSummary:
         assert s["wall_s"] > 0 and s["busy_s"] > 0
         assert 0.0 < s["utilization"] <= 1.0
         assert s["overhead_s"] >= 0.0
-        assert s["shared_mib"] > 0.0  # corpus was published to shared memory
+        assert "shared_mib" not in s  # workers inherit the corpus
         assert sum(w["tasks"] for w in s["workers"].values()) == 3
         text = format_pool_summary(s)
         assert "worker" in text and "utilization" in text
@@ -138,23 +135,42 @@ class TestPoolSummary:
             [ExperimentTask(kind="coarsen", graph="ppa")], jobs=1, retries=0
         )
         assert out.summary["jobs"] == 1
-        assert out.summary["shared_mib"] == 0.0
+        assert "shared_mib" not in out.summary
         assert len(out.summary["workers"]) == 1
 
 
-class TestSharedCorpus:
-    def test_publish_corpus_descriptors_and_cleanup(self):
-        descriptors, handles, sizes = publish_corpus([("ppa", 0), ("ppa", 0)])
-        try:
-            assert set(descriptors) == {("ppa", 0)}  # deduplicated
-            desc = descriptors[("ppa", 0)]
-            assert desc["graph_name"] == "ppa"
-            assert desc["nbytes"] == sum(f["count"] * 8 for f in desc["layout"])
-            assert sizes[("ppa", 0)] > 0
-        finally:
-            for shm in handles:
-                shm.close()
-                shm.unlink()
+class TestInheritedCorpus:
+    def test_forked_workers_read_the_parents_graphs(self, tmp_path, monkeypatch):
+        """Each worker finds its task's graph already loaded and sees no
+
+        shared-memory segment of the session parent: the corpus reaches
+        the workers through ``fork`` alone."""
+        log = tmp_path / "workers.jsonl"
+        execute = pool._execute
+
+        def audited(task):
+            held = (task.graph, task.seed) in pool._WORKER_GRAPHS
+            segments = [s["name"] for s in shm.list_segments()
+                        if s["pid"] == os.getppid()]
+            with open(log, "a") as fh:
+                fh.write(json.dumps({"pid": os.getpid(), "held": held,
+                                     "segments": segments}) + "\n")
+            return execute(task)
+
+        monkeypatch.setattr(pool, "_execute", audited)
+        tasks = [
+            ExperimentTask(kind="coarsen", graph=g, seed=s)
+            for g in ("ppa", "citation")
+            for s in (0, 1)
+        ]
+        out = run_session(tasks, jobs=2, retries=0)
+        assert len(out.results) == len(tasks)
+        seen = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(seen) == len(tasks)
+        assert all(r["pid"] != os.getpid() for r in seen)  # ran in workers
+        assert [r for r in seen if r["segments"]] == []
+        assert all(r["held"] for r in seen)
+        assert pool._WORKER_GRAPHS == {}  # released at session end
 
 
 def _load_graph_task(task):

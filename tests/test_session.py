@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -292,30 +291,6 @@ class TestSupervisedPool:
 
 
 class TestDegradation:
-    def test_shm_publish_failure_falls_back_to_cache(self):
-        base = run_session(TASKS, jobs=1)
-        faultinject.install("shm.publish:oserror")
-        try:
-            with pytest.warns(RuntimeWarning, match="degraded"):
-                out = run_session(TASKS, jobs=2)
-        finally:
-            faultinject.clear()
-        assert any(d["site"] == "shm.publish" for d in out.summary["degradations"])
-        assert out.summary["shared_mib"] == 0.0
-        assert _rows_key(out.results) == _rows_key(base.results)
-        _no_leaks()
-
-    def test_shm_attach_failure_falls_back_per_worker(self):
-        base = run_session(TASKS, jobs=1)
-        faultinject.install("shm.attach:oserror")
-        try:
-            out = run_session(TASKS, jobs=2)
-        finally:
-            faultinject.clear()
-        assert any(d["site"] == "shm.attach" for d in out.summary["degradations"])
-        assert _rows_key(out.results) == _rows_key(base.results)
-        _no_leaks()
-
     def test_pool_create_failure_falls_back_to_serial(self):
         base = run_session(TASKS, jobs=1)
         faultinject.install("pool.create:oserror")
@@ -358,10 +333,6 @@ CHAOS_CELLS = [
      {"jobs": 2, "task_timeout": 2.0}, False, True),
     ("pool.worker:oserror:attempt<2,graph=ppa", {"jobs": 2}, False, True),
     ("pool.worker:error:attempt<1,graph=citation", {"jobs": 2}, False, True),
-    ("shm.publish:oserror", {"jobs": 2}, False, True),
-    # a *transient* publish stall delays the session but must not distort it
-    ("shm.publish:hang:sleep=1,times=1", {"jobs": 2}, False, False),
-    ("shm.attach:oserror", {"jobs": 2}, False, True),
     ("pool.create:oserror", {"jobs": 2}, False, True),
     # cache-store failure degrades inside the cache (store_failures ledger,
     # asserted below); invisible to the session summary by design
@@ -456,12 +427,8 @@ class TestKillResume:
         assert records[0]["type"] == "session"
         assert sum(r["type"] == "done" for r in records) == 1
 
-        # orphaned workers notice the dead parent and exit; with them
-        # gone the resource tracker unlinks the published segments
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and shm_lifecycle.list_segments():
-            time.sleep(0.5)
-        shm_lifecycle.sweep_stale()  # belt and braces: gc-shm's collector
+        # workers inherit the corpus through fork: even a SIGKILL, which
+        # skips every cleanup path, leaves no segment behind
         assert shm_lifecycle.list_segments() == []
 
         out_dir = tmp_path / "resumed"
@@ -492,19 +459,15 @@ class TestSessionCLI:
         with pytest.raises(SystemExit, match="unknown corpus graph"):
             bench_main(["corpus", "--graphs", "not-a-graph"])
 
-    def test_gc_shm_subcommand(self, capsys):
-        assert bench_main(["gc-shm"]) == 0
-        assert "gc-shm:" in capsys.readouterr().out
-
     def test_summary_surfaces_recovery_and_failures(self):
         summary = {
             "jobs": 2, "tasks": 3, "wall_s": 1.0, "busy_s": 1.2,
-            "utilization": 0.6, "overhead_s": 0.4, "shared_mib": 0.0,
+            "utilization": 0.6, "overhead_s": 0.4,
             "workers": {}, "retries": 2, "crashes": 1, "hangs": 0,
             "quarantined": 1, "resumed": 1,
             "degradations": [
-                {"site": "shm.publish", "action": "per-worker-cache-load",
-                 "error": "ENOSPC"},
+                {"site": "pool.create", "action": "serial-fallback",
+                 "error": "EAGAIN"},
             ],
             "failed": [
                 {"key": "coarsen:gpu:hec:sort:ppa:s0", "attempts": 3,
@@ -515,46 +478,8 @@ class TestSessionCLI:
         assert "recovery" in text and "retries 2" in text
         assert "crashes 1" in text and "quarantined 1" in text
         assert "resumed 1" in text
-        assert "degraded  shm.publish -> per-worker-cache-load" in text
+        assert "degraded  pool.create -> serial-fallback (EAGAIN)" in text
         assert "FAILED  coarsen:gpu:hec:sort:ppa:s0" in text
-
-
-# ------------------------------------------------- shm lifecycle sweep
-
-
-class TestShmLifecycle:
-    def test_segment_names_carry_owner_pid(self):
-        name = next(shm_lifecycle.segment_names())
-        assert shm_lifecycle.owner_pid(name) == os.getpid()
-        assert shm_lifecycle.owner_pid("unrelated") is None
-
-    def test_sweep_spares_live_owner_collects_dead(self):
-        from multiprocessing import shared_memory
-
-        live = f"{shm_lifecycle.SHM_PREFIX}{os.getpid()}-sweeptest"
-        seg = shared_memory.SharedMemory(name=live, create=True, size=64)
-        try:
-            assert live not in shm_lifecycle.sweep_stale()
-            # forcing our own pid dead collects it (the gc-shm CLI path)
-            removed = shm_lifecycle.sweep_stale(include_pids={os.getpid()})
-            assert live in removed
-        finally:
-            try:
-                seg.close()
-                seg.unlink()
-            except OSError:
-                pass
-
-    def test_publish_registers_and_release_unregisters(self):
-        from repro.parallel.pool import _release, publish_corpus
-
-        descriptors, handles, sizes = publish_corpus([("ppa", 0)])
-        try:
-            assert all(h.name in shm_lifecycle._LIVE for h in handles)
-        finally:
-            _release(handles)
-        assert all(h.name not in shm_lifecycle._LIVE for h in handles)
-        _no_leaks()
 
 
 # -------------------------------------------- structural graph validation
@@ -633,72 +558,3 @@ class TestGraphValidation:
             g.validate()
         assert any(f["code"] == "self-loop" for f in exc.value.findings)
 
-
-class TestSignalCleanup:
-    """install_signal_cleanup: SIG_IGN honoured, idempotent, chains."""
-
-    @pytest.fixture()
-    def _restore_usr1(self):
-        previous = signal.getsignal(signal.SIGUSR1)
-        yield
-        signal.signal(signal.SIGUSR1, previous)
-        shm_lifecycle._CLEANUP_HANDLERS.pop(signal.SIGUSR1, None)
-
-    def _register_segment(self):
-        from multiprocessing import shared_memory
-
-        name = next(shm_lifecycle.segment_names())
-        seg = shared_memory.SharedMemory(create=True, size=64, name=name)
-        shm_lifecycle.register(seg)
-        return name
-
-    def test_sig_ign_stays_nonfatal_but_releases(self, _restore_usr1):
-        signal.signal(signal.SIGUSR1, signal.SIG_IGN)
-        shm_lifecycle.install_signal_cleanup(signals=(signal.SIGUSR1,))
-        name = self._register_segment()
-        os.kill(os.getpid(), signal.SIGUSR1)  # must not kill this process
-        assert name not in shm_lifecycle._LIVE
-        assert not any(s["name"] == name for s in shm_lifecycle.list_segments())
-
-    def test_double_install_is_idempotent(self, _restore_usr1):
-        fired = []
-        signal.signal(signal.SIGUSR1, lambda s, f: fired.append(s))
-        shm_lifecycle.install_signal_cleanup(signals=(signal.SIGUSR1,))
-        installed = signal.getsignal(signal.SIGUSR1)
-        shm_lifecycle.install_signal_cleanup(signals=(signal.SIGUSR1,))
-        assert signal.getsignal(signal.SIGUSR1) is installed  # not re-wrapped
-        os.kill(os.getpid(), signal.SIGUSR1)
-        assert fired == [signal.SIGUSR1]  # the chained handler ran once
-
-    def test_callable_previous_handler_still_runs(self, _restore_usr1):
-        fired = []
-        signal.signal(signal.SIGUSR1, lambda s, f: fired.append("previous"))
-        shm_lifecycle.install_signal_cleanup(signals=(signal.SIGUSR1,))
-        name = self._register_segment()
-        os.kill(os.getpid(), signal.SIGUSR1)
-        assert fired == ["previous"]
-        assert name not in shm_lifecycle._LIVE
-
-    def test_sig_dfl_still_dies_after_cleanup(self, tmp_path):
-        script = (
-            "import os, signal\n"
-            "from multiprocessing import shared_memory\n"
-            "from repro.parallel import shm\n"
-            "signal.signal(signal.SIGTERM, signal.SIG_DFL)\n"
-            "shm.install_signal_cleanup(signals=(signal.SIGTERM,))\n"
-            "name = next(shm.segment_names())\n"
-            "shm.register(shared_memory.SharedMemory(create=True, size=64, name=name))\n"
-            "print(name, flush=True)\n"
-            "os.kill(os.getpid(), signal.SIGTERM)\n"
-            "print('UNREACHABLE')\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            cwd=REPO_ROOT, env=env, capture_output=True, timeout=60,
-        )
-        assert proc.returncode == -signal.SIGTERM  # default disposition kept
-        name = proc.stdout.decode().split()[0]
-        assert "UNREACHABLE" not in proc.stdout.decode()
-        assert not any(s["name"] == name for s in shm_lifecycle.list_segments())

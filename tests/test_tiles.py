@@ -490,7 +490,7 @@ class TestPoolComposition:
         from repro.parallel.pool import _worker_init
 
         eng = tiles.configure(2)
-        _worker_init({}, None)
+        _worker_init(None)
         assert tiles.current() is eng
 
     def test_worker_init_configures_and_exports(self):
@@ -498,7 +498,7 @@ class TestPoolComposition:
 
         old = os.environ.get("REPRO_THREADS")
         try:
-            _worker_init({}, 2)
+            _worker_init(2)
             got = tiles.current()
             assert got is not None and got.threads == 2
             assert os.environ["REPRO_THREADS"] == "2"
