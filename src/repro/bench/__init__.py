@@ -3,13 +3,13 @@
 from . import experiments
 from .harness import corpus_graph, run_coarsening, run_partition, space_for
 from .report import (
+    baseline_entry,
     format_table,
     geomean,
     median,
-    merge_wallclock_file,
+    merge_baseline_file,
     ratio,
     wallclock_key,
-    wallclock_reference,
     write_results,
     write_trace,
 )
@@ -27,6 +27,6 @@ __all__ = [
     "write_trace",
     "write_results",
     "wallclock_key",
-    "wallclock_reference",
-    "merge_wallclock_file",
+    "baseline_entry",
+    "merge_baseline_file",
 ]

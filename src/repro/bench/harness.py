@@ -34,25 +34,31 @@ __all__ = [
 ]
 
 
-def _reused_hierarchy(reuse, space, tracker):
-    """Resolve a hierarchy-reuse handle into ``(hierarchy, tape)``.
+def _hierarchy(g, space, tracker, coarsener, constructor, reuse):
+    """Coarsen ``g``, or replay the build ``reuse`` has cached.
 
     ``reuse`` follows the serving registry's protocol — ``get()``
     returning ``(hierarchy, tape)`` or ``None``, and ``put(hierarchy,
     tape)`` after a fresh build.  On a hit the recorded tape is replayed
     into this run's space/tracker so the charges, spans, memory peak,
-    and RNG position match a from-scratch run bitwise; the runner then
-    skips coarsening.  On a miss a fresh recording tape is returned for
-    the build.
+    and RNG position match a from-scratch run bitwise, and coarsening is
+    skipped.  On a miss the build is recorded on a fresh tape and put.
     """
-    if reuse is None:
-        return None, None
-    cached = reuse.get()
-    if cached is not None:
-        hierarchy, tape = cached
-        tape.replay(space, tracker)
-        return hierarchy, None
-    return None, Tape()
+    tape = None
+    if reuse is not None:
+        cached = reuse.get()
+        if cached is not None:
+            hierarchy, tape = cached
+            tape.replay(space, tracker)
+            return hierarchy
+        tape = Tape()
+    hierarchy = coarsen_multilevel(
+        g, space, coarsener=coarsener, constructor=constructor,
+        tracker=tracker, tape=tape,
+    )
+    if reuse is not None:
+        reuse.put(hierarchy, tape)
+    return hierarchy
 
 
 def space_for(machine: str, seed: int = 0) -> ExecSpace:
@@ -127,14 +133,7 @@ def run_coarsening(
         "seed": seed,
     }
     try:
-        hierarchy, tape = _reused_hierarchy(reuse, space, tracker)
-        if hierarchy is None:
-            hierarchy = coarsen_multilevel(
-                g, space, coarsener=coarsener, constructor=constructor,
-                tracker=tracker, tape=tape,
-            )
-            if tape is not None:
-                reuse.put(hierarchy, tape)
+        hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
     except SimulatedOOM:
         return {**base, "oom": True, "total_s": None, "construction_s": None,
                 "mapping_s": None, "levels": None, "cr": None,
@@ -196,19 +195,15 @@ def run_partition(
         "seed": seed,
     }
     try:
-        hierarchy, tape = _reused_hierarchy(reuse, space, tracker)
+        hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
         res = multilevel_bisect(
             g,
             space,
             coarsener=coarsener,
             constructor=constructor,
             refinement=refinement,
-            tracker=tracker,
             hierarchy=hierarchy,
-            tape=tape,
         )
-        if tape is not None:
-            reuse.put(res.hierarchy, tape)
     except SimulatedOOM:
         return {**base, "oom": True, "cut": None, "total_s": None, "coarsen_pct": None,
                 "peak_mem": tracker.peak, "trace": tracer.close()}
@@ -273,14 +268,7 @@ def run_partition_kway(
         "seed": seed,
     }
     try:
-        hierarchy, tape = _reused_hierarchy(reuse, space, tracker)
-        if hierarchy is None:
-            hierarchy = coarsen_multilevel(
-                g, space, coarsener=coarsener, constructor=constructor,
-                tracker=tracker, tape=tape,
-            )
-            if tape is not None:
-                reuse.put(hierarchy, tape)
+        hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
         part, stats = kway_from_hierarchy(g, hierarchy, k, space)
     except SimulatedOOM:
         return {**base, "oom": True, "cut": None, "total_s": None,
@@ -341,14 +329,7 @@ def run_cluster(
         "seed": seed,
     }
     try:
-        hierarchy, tape = _reused_hierarchy(reuse, space, tracker)
-        if hierarchy is None:
-            hierarchy = coarsen_multilevel(
-                g, space, coarsener=coarsener, constructor=constructor,
-                tracker=tracker, tape=tape,
-            )
-            if tape is not None:
-                reuse.put(hierarchy, tape)
+        hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
         with space.span("cluster", graph=g.name):
             labels = hierarchy.project(np.arange(hierarchy.coarsest.n))
             # one gather per level: x = x[mapping.m]

@@ -31,8 +31,8 @@ __all__ = [
     "write_trace",
     "write_results",
     "wallclock_key",
-    "wallclock_reference",
-    "merge_wallclock_file",
+    "baseline_entry",
+    "merge_baseline_file",
     "main",
 ]
 
@@ -182,9 +182,14 @@ def wallclock_key(machine: str, coarsener: str, constructor: str, seed: int,
     return f"{key}:t{threads}" if threads > 1 else key
 
 
-def merge_wallclock_file(path: Path, key: str, entry: dict) -> None:
-    """Insert/replace one config entry in a wall-clock baseline file."""
-    doc = {"schema": WALLCLOCK_SCHEMA, "configs": {}}
+def merge_baseline_file(path: Path, key: str, entry: dict, schema: int) -> None:
+    """Insert/replace one config entry in a multi-config baseline file.
+
+    The one writer of ``BENCH_wallclock.json``, ``BENCH_rss.json`` and
+    ``BENCH_serving.json``: other configs are kept, an unparsable file
+    starts over, and the document is stamped with ``schema``.
+    """
+    doc = {"schema": schema, "configs": {}}
     if path.exists():
         try:
             old = json.loads(path.read_text())
@@ -196,8 +201,8 @@ def merge_wallclock_file(path: Path, key: str, entry: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def wallclock_reference(ref: dict, key: str) -> dict | None:
-    """Find the entry gating ``key`` in a baseline file."""
+def baseline_entry(ref: dict, key: str) -> dict | None:
+    """Find the entry gating ``key`` in a loaded baseline file."""
     configs = ref.get("configs")
     return configs.get(key) if isinstance(configs, dict) else None
 
@@ -397,11 +402,11 @@ def _cmd_corpus_wallclock(args) -> int:
     if jobs > 1 or _had_faults(out.summary):
         print(format_pool_summary(out.summary))
     if args.wallclock_out is not None:
-        merge_wallclock_file(args.wallclock_out, key, entry)
+        merge_baseline_file(args.wallclock_out, key, entry, WALLCLOCK_SCHEMA)
         print(f"wrote {args.wallclock_out}")
     if args.compare_wallclock is not None:
         ref = json.loads(args.compare_wallclock.read_text())
-        ref_entry = wallclock_reference(ref, key)
+        ref_entry = baseline_entry(ref, key)
         if ref_entry is None:
             print(f"ERROR: no entry for config {key!r} in {args.compare_wallclock}")
             return 2
@@ -444,15 +449,6 @@ def _cmd_corpus(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     import argparse
-
-    if argv is None:
-        argv = sys.argv[1:]
-    # forward `serve ...` before argparse sees it: REMAINDER cannot
-    # capture a leading option token (e.g. `serve --socket S`)
-    if argv and argv[0] == "serve":
-        from ..serve.__main__ import main as serve_main
-
-        return serve_main(list(argv[1:]))
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.bench.report",
@@ -560,18 +556,7 @@ def main(argv: list[str] | None = None) -> int:
 
     add_update_stream_args(p_upd)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="forward to the serving daemon CLI (python -m repro.serve)",
-    )
-    p_serve.add_argument("serve_args", nargs=argparse.REMAINDER,
-                         help="arguments passed through to repro.serve")
-
     args = ap.parse_args(argv)
-    if args.command == "serve":
-        from ..serve.__main__ import main as serve_main
-
-        return serve_main(args.serve_args)
     if args.faults:
         from .. import faultinject
 

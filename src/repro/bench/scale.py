@@ -25,13 +25,12 @@ import time
 from pathlib import Path
 
 from ..parallel.tiles import resolve_threads
+from .report import baseline_entry, merge_baseline_file
 
 __all__ = [
     "add_scale_args",
     "cmd_scale",
-    "merge_rss_file",
     "rss_key",
-    "rss_reference",
     "RSS_SCHEMA",
 ]
 
@@ -50,26 +49,6 @@ def rss_key(machine: str, coarsener: str, constructor: str, seed: int,
     """Config key of one RSS baseline entry (mirrors ``wallclock_key``)."""
     key = f"{machine}:{coarsener}:{constructor}:s{seed}:{tier}"
     return f"{key}:t{threads}" if threads > 1 else key
-
-
-def merge_rss_file(path: Path, key: str, entry: dict) -> None:
-    """Insert/replace one config entry in an RSS baseline file."""
-    doc = {"schema": RSS_SCHEMA, "configs": {}}
-    if path.exists():
-        try:
-            old = json.loads(path.read_text())
-        except ValueError:
-            old = {}
-        if isinstance(old.get("configs"), dict):
-            doc["configs"] = dict(old["configs"])
-    doc["configs"][key] = entry
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def rss_reference(ref: dict, key: str) -> dict | None:
-    """Find the entry gating ``key`` in a baseline file."""
-    configs = ref.get("configs")
-    return configs.get(key) if isinstance(configs, dict) else None
 
 
 def add_scale_args(p) -> None:
@@ -171,7 +150,7 @@ def cmd_scale(args) -> int:
         },
     }
     if args.rss_out is not None:
-        merge_rss_file(args.rss_out, key, entry)
+        merge_baseline_file(args.rss_out, key, entry, RSS_SCHEMA)
         print(f"wrote {args.rss_out} [{key}]")
     if args.compare_rss is not None:
         return _gate(entry, key, args)
@@ -180,7 +159,7 @@ def cmd_scale(args) -> int:
 
 def _gate(entry: dict, key: str, args) -> int:
     ref = json.loads(args.compare_rss.read_text())
-    ref_entry = rss_reference(ref, key)
+    ref_entry = baseline_entry(ref, key)
     if ref_entry is None:
         print(f"ERROR: no entry for config {key!r} in {args.compare_rss}")
         return 2

@@ -222,10 +222,10 @@ def cmd_update_stream(args) -> int:
     if args.out is not None:
         from pathlib import Path
 
-        from .report import merge_wallclock_file
+        from .report import WALLCLOCK_SCHEMA, merge_baseline_file
 
         entry = {k: v for k, v in report.items() if k != "per_batch"}
-        merge_wallclock_file(Path(args.out), key, entry)
+        merge_baseline_file(Path(args.out), key, entry, WALLCLOCK_SCHEMA)
         print(f"wrote {args.out}")
     if not report["ratio_ok"]:
         print(f"ERROR: patch/rebuild ledger-cost ratio {report['cost_ratio']:.4f} "

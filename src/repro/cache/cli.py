@@ -158,8 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("fingerprint", help="print the corpus fingerprint (CI cache key)")
 
     args = ap.parse_args(argv)
-    cache = ArtifactCache(args.dir if args.dir is not None else _default_dir(),
-                          name="graphs")
+    cache = ArtifactCache(args.dir if args.dir is not None else _default_dir())
     handler = {
         "status": cmd_status,
         "verify": cmd_verify,

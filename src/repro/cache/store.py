@@ -143,10 +143,8 @@ def _delete_path(path: Path) -> None:
 class ArtifactCache:
     """A directory of integrity-checked artifacts with shared counters."""
 
-    def __init__(self, root, *, name: str = "artifacts", durable: bool = True):
+    def __init__(self, root):
         self.root = Path(root)
-        self.name = name
-        self.durable = durable
         self._stats = StatsFile(self.root / STATS_NAME)
 
     # ---------------------------------------------------------------- paths
@@ -401,7 +399,6 @@ class ArtifactCache:
         atomic_write_bytes(
             self.meta_path(key),
             json.dumps(meta, indent=1, sort_keys=True).encode(),
-            durable=self.durable,
         )
         return meta
 

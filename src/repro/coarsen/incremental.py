@@ -694,7 +694,6 @@ def patch_hierarchy(
     cutoff: int = COARSEN_CUTOFF,
     max_levels: int = MAX_LEVELS,
     tracker: MemoryTracker | None = None,
-    include_transfer: bool = True,
     tape=None,
 ) -> GraphHierarchy:
     """Propagate an :class:`EdgeDelta` through a built HEC hierarchy.
@@ -719,16 +718,15 @@ def patch_hierarchy(
         with tape.record(space):
             return _patch_levels(
                 base, g_new, delta, space, constructor, cutoff, max_levels,
-                tape.wrap_tracker(tracker), include_transfer,
+                tape.wrap_tracker(tracker),
             )
     return _patch_levels(
-        base, g_new, delta, space, constructor, cutoff, max_levels,
-        tracker, include_transfer,
+        base, g_new, delta, space, constructor, cutoff, max_levels, tracker,
     )
 
 
 def _patch_levels(
-    base, g_new, delta, space, constructor, cutoff, max_levels, tracker, include_transfer,
+    base, g_new, delta, space, constructor, cutoff, max_levels, tracker,
 ) -> GraphHierarchy:
     from ..construct.base import get_constructor  # local: avoid import cycle
     from .hec import hec_parallel
@@ -743,7 +741,7 @@ def _patch_levels(
     with space.span(
         "coarsen", algorithm="hec_delta", constructor=constructor, graph=g_new.name
     ):
-        if space.machine.is_gpu and include_transfer:
+        if space.machine.is_gpu:
             with space.span("transfer"):
                 # only the delta arrays cross the bus; the base hierarchy
                 # is already device-resident

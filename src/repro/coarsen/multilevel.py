@@ -38,8 +38,8 @@ class GraphHierarchy:
     mappings: list[CoarseMapping]
     stats: dict = field(default_factory=dict)
     #: Fiedler embeddings of this hierarchy, kept by
-    #: :func:`repro.partition.multilevel.spectral_vector`: ``(machine,
-    #: power_tol) -> (entry RNG state, (x, iters, tape) or None)``
+    #: :func:`repro.partition.multilevel.spectral_vector`: ``machine name
+    #: -> (entry RNG state, (x, iters, tape) or None)``
     embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -77,45 +77,25 @@ def coarsen_multilevel(
     cutoff: int = COARSEN_CUTOFF,
     max_levels: int = MAX_LEVELS,
     tracker: MemoryTracker | None = None,
-    include_transfer: bool = True,
     tape=None,
-    delta=None,
-    base: "GraphHierarchy | None" = None,
 ) -> GraphHierarchy:
     """Algorithm 1: build the hierarchy ``{G_1, ..., G_l}``.
 
     Parameters mirror the paper's experimental setup: ``cutoff`` 50, the
     >50 → <10 discard rule, and machine-projected memory tracking (pass a
     :class:`MemoryTracker`; ``None`` tracks but never raises).  When the
-    machine is a GPU and ``include_transfer`` is set, the initial
-    host-to-device copy of the CSR arrays is charged to the ``transfer``
-    phase (Table II includes it; Fig. 3 center excludes it).
+    machine is a GPU, the initial host-to-device copy of the CSR arrays
+    is charged to the ``transfer`` phase (Table II includes it; Fig. 3
+    center reports ``compute_s``, which excludes it).
 
     ``tape`` (a fresh :class:`repro.trace.tape.Tape`) records this
     build's charges/spans/tracker calls and RNG advance so the serving
     layer can later replay them instead of re-coarsening — see
     :mod:`repro.trace.tape`.  An OOM'd build leaves the tape incomplete.
-
-    Passing ``delta`` (an :class:`~repro.csr.update.EdgeDelta` from
-    :func:`repro.csr.update.apply_edges`) together with ``base`` (the
-    hierarchy previously built for the pre-update graph) switches to
-    incremental patching: ``g`` must be the updated graph, and the call
-    delegates to :func:`repro.coarsen.incremental.patch_hierarchy`,
-    re-running matching only on the affected frontier.  ``coarsener``
-    and ``constructor`` are taken from ``base`` in that mode.
+    An updated graph's hierarchy is patched by
+    :func:`repro.coarsen.incremental.patch_hierarchy` instead.
     """
     from ..construct.base import get_constructor  # local: avoid import cycle
-
-    if (delta is None) != (base is None):
-        raise ValueError("incremental mode needs both delta= and base=")
-    if delta is not None:
-        from .incremental import patch_hierarchy
-
-        return patch_hierarchy(
-            base, g, delta, space,
-            cutoff=cutoff, max_levels=max_levels, tracker=tracker,
-            include_transfer=include_transfer, tape=tape,
-        )
 
     coarsen_fn = get_coarsener(coarsener) if isinstance(coarsener, str) else coarsener
     construct_fn = get_constructor(constructor)
@@ -125,17 +105,17 @@ def coarsen_multilevel(
         with tape.record(space):
             return _coarsen_levels(
                 g, space, coarsen_fn, construct_fn, algo_name, constructor,
-                cutoff, max_levels, tape.wrap_tracker(tracker), include_transfer,
+                cutoff, max_levels, tape.wrap_tracker(tracker),
             )
     return _coarsen_levels(
         g, space, coarsen_fn, construct_fn, algo_name, constructor,
-        cutoff, max_levels, tracker, include_transfer,
+        cutoff, max_levels, tracker,
     )
 
 
 def _coarsen_levels(
     g, space, coarsen_fn, construct_fn, algo_name, constructor,
-    cutoff, max_levels, tracker, include_transfer,
+    cutoff, max_levels, tracker,
 ) -> GraphHierarchy:
     graphs = [g]
     mappings: list[CoarseMapping] = []
@@ -143,7 +123,7 @@ def _coarsen_levels(
     discarded = False
 
     with space.span("coarsen", algorithm=algo_name, constructor=constructor, graph=g.name):
-        if space.machine.is_gpu and include_transfer:
+        if space.machine.is_gpu:
             with space.span("transfer"):
                 space.ledger.charge(
                     "transfer",

@@ -4,9 +4,9 @@ from .build import empty, from_edge_list, from_scipy, preprocess
 from .components import connected_components, is_connected, largest_component
 from .graph import CSRGraph
 from .io import load_npz, read_edge_list, read_matrix_market, save_npz, write_matrix_market
-from .ops import degree_histogram, induced_subgraph, laplacian_csr, permute, validate
+from .ops import degree_histogram, induced_subgraph, laplacian_csr, permute
 from .update import EdgeDelta, apply_edges
-from .validation import GraphValidationError, find_defects
+from .validation import GraphValidationError, find_defects, validate_graph as validate
 
 __all__ = [
     "CSRGraph",

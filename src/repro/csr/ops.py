@@ -19,7 +19,6 @@ __all__ = [
     "induced_subgraph",
     "laplacian_csr",
     "degree_histogram",
-    "validate",
 ]
 
 
@@ -81,17 +80,3 @@ def laplacian_csr(g: CSRGraph) -> tuple[np.ndarray, CSRGraph]:
 def degree_histogram(g: CSRGraph) -> np.ndarray:
     """``hist[d]`` = number of vertices of degree ``d``."""
     return np.bincount(np.diff(g.xadj))
-
-
-def validate(g: CSRGraph) -> None:
-    """Raise if ``g`` violates the paper's graph model.
-
-    Delegates to :func:`repro.csr.validation.validate_graph`: the raised
-    :class:`~repro.csr.validation.GraphValidationError` (a ``ValueError``)
-    carries one structured finding per violated invariant — monotone row
-    pointers, in-range neighbour ids, sorted rows, no self-loops, no
-    duplicate edges, finite positive weights, and symmetry.
-    """
-    from .validation import validate_graph
-
-    validate_graph(g)

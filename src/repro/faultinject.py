@@ -212,23 +212,21 @@ _UNLOADED = object()
 _PLAN: FaultPlan | None | object = _UNLOADED
 
 
-def install(spec: str | None, *, export_env: bool = True) -> FaultPlan | None:
+def install(spec: str | None) -> FaultPlan | None:
     """Arm a fault spec for this process (and, via env, its children).
 
-    ``None`` / empty disarms.  With ``export_env`` the spec is mirrored
-    into ``REPRO_FAULTS`` so spawned (not just forked) workers inherit
-    it; rule counters themselves are always per-process.
+    ``None`` / empty disarms.  The spec is mirrored into
+    ``REPRO_FAULTS`` so spawned (not just forked) workers inherit it;
+    rule counters themselves are always per-process.
     """
     global _PLAN
     if not spec:
         _PLAN = None
-        if export_env:
-            os.environ.pop(ENV_VAR, None)
+        os.environ.pop(ENV_VAR, None)
         return None
     plan = FaultPlan.parse(spec)
     _PLAN = plan
-    if export_env:
-        os.environ[ENV_VAR] = spec
+    os.environ[ENV_VAR] = spec
     return plan
 
 

@@ -12,11 +12,8 @@ benchmark suites do not pay generation on every process start.
 
 from __future__ import annotations
 
-import atexit
 import inspect
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -134,7 +131,7 @@ def _get_cache() -> ArtifactCache:
     root = Path(_CACHE_DIR)
     cache = _CACHES.get(root)
     if cache is None:
-        cache = _CACHES[root] = ArtifactCache(root, name="graphs")
+        cache = _CACHES[root] = ArtifactCache(root)
     return cache
 
 
@@ -160,7 +157,7 @@ def _fingerprint(spec: GraphSpec, seed: int) -> str:
     )
 
 
-def load(name: str, seed: int = 0, cache: bool = True) -> tuple[CSRGraph, GraphSpec]:
+def load(name: str, seed: int = 0) -> tuple[CSRGraph, GraphSpec]:
     """Generate (or load from cache) one corpus graph by Table-I name.
 
     Cached entries are integrity-checked (checksum + parameter
@@ -171,12 +168,10 @@ def load(name: str, seed: int = 0, cache: bool = True) -> tuple[CSRGraph, GraphS
     """
     base, tier = parse_tier_name(name)
     if tier != "base":
-        return load_tier(base, tier, seed=seed, cache=cache)
+        return load_tier(base, tier, seed=seed)
     spec = _BY_NAME.get(name)
     if spec is None:
         raise KeyError(f"unknown corpus graph {name!r}; known: {[s.name for s in CORPUS]}")
-    if not cache:
-        return spec.generate(seed), spec
     g = _get_cache().get_or_create(
         key=_cache_key(name, seed),
         fingerprint=_fingerprint(spec, seed),
@@ -187,21 +182,7 @@ def load(name: str, seed: int = 0, cache: bool = True) -> tuple[CSRGraph, GraphS
     return g, spec
 
 
-#: temp tier directories from uncached loads, removed at process exit
-_TIER_TMPDIRS: list[str] = []
-
-
-def _cleanup_tier_tmpdirs() -> None:  # pragma: no cover - exit hook
-    while _TIER_TMPDIRS:
-        shutil.rmtree(_TIER_TMPDIRS.pop(), ignore_errors=True)
-
-
-atexit.register(_cleanup_tier_tmpdirs)
-
-
-def load_tier(
-    base: str, tier: str, seed: int = 0, cache: bool = True
-) -> tuple[CSRGraph, GraphSpec]:
+def load_tier(base: str, tier: str, seed: int = 0) -> tuple[CSRGraph, GraphSpec]:
     """Load one scale tier of a corpus graph as a mapped (out-of-core) graph.
 
     The tier artifact is materialised straight into the graph cache as a
@@ -210,13 +191,12 @@ def load_tier(
     zero-copy memmapped :class:`~repro.csr.graph.CSRGraph`.  The returned
     spec is the base spec renamed ``base@tier``; paper-scale metadata is
     unchanged, so the OOM projection reflects how much closer the tier
-    sits to paper scale.  ``cache=False`` builds into a process-lifetime
-    temp directory instead (removed at exit).
+    sits to paper scale.
     """
     if tier not in TIER_SCALES:
         raise KeyError(f"unknown scale tier {tier!r}; known: {sorted(TIER_SCALES)}")
     if tier == "base":
-        return load(base, seed=seed, cache=cache)
+        return load(base, seed=seed)
     spec = _BY_NAME.get(base)
     if spec is None:
         raise KeyError(f"unknown corpus graph {base!r}; known: {[s.name for s in CORPUS]}")
@@ -230,22 +210,14 @@ def load_tier(
             "base": _fingerprint(spec, seed),
         }
     )
-    if not cache:
-        from ..storage.mapped import open_mapped
+    from ..storage.mapped import MAPPED_EXT, open_mapped
 
-        tmp = tempfile.mkdtemp(prefix="repro-tier-")
-        _TIER_TMPDIRS.append(tmp)
-        path = Path(tmp) / f"{name}.csrdir"
-        materialize_tier(spec, tier, seed, path)
-        return open_mapped(path, name=name), tier_spec
-    from ..storage.store import GraphStore
-
-    store = GraphStore(_get_cache())
-    g = store.get_or_build(
-        key=f"{base}-s{seed}-{tier}",
-        fingerprint=fingerprint,
-        build=lambda tmp_path: materialize_tier(spec, tier, seed, tmp_path),
-        name=name,
+    g = _get_cache().get_or_create_path(
+        f"{base}-s{seed}-{tier}",
+        fingerprint,
+        lambda tmp_path: materialize_tier(spec, tier, seed, tmp_path),
+        lambda path: open_mapped(path, name=name),
+        ext=MAPPED_EXT,
     )
     return g, tier_spec
 

@@ -101,20 +101,21 @@ def row_digest(row: dict) -> str:
 
 
 def backoff_delay(
-    key: str, attempt: int, *, base: float = 0.25, cap: float = 5.0, seed: int = 0
+    key: str, attempt: int, *, base: float = 0.25, cap: float = 5.0
 ) -> float:
     """Deterministic capped exponential backoff for one retry.
 
     ``min(cap, base * 2**attempt)`` scaled into ``[0.5x, 1x)`` by a
-    jitter that is a pure hash of ``(seed, key, attempt)`` — two
-    sessions replaying the same failures produce the *same* schedule,
-    and co-failing tasks still decorrelate (different keys, different
+    jitter that is a pure hash of ``(key, attempt)`` — two sessions
+    replaying the same failures produce the *same* schedule, and
+    co-failing tasks still decorrelate (different keys, different
     jitter).  No wall-clock or RNG state enters the decision.
     """
     if base <= 0.0:
         return 0.0
+    # the fixed "0:" prefix is hashed too: changing it changes every delay
     h = int.from_bytes(
-        hashlib.sha256(f"{seed}:{key}:{attempt}".encode()).digest()[:8], "big"
+        hashlib.sha256(f"0:{key}:{attempt}".encode()).digest()[:8], "big"
     )
     jitter = h / 2.0**64  # [0, 1)
     return min(cap, base * (2.0**attempt)) * (0.5 + 0.5 * jitter)
@@ -709,7 +710,12 @@ def run_session(
             for name, seed in dict.fromkeys(
                 (tasks[i].graph, tasks[i].seed) for i in remaining
             ):
-                g, spec = corpus.load(name, seed)
+                try:
+                    g, spec = corpus.load(name, seed)
+                except Exception:  # noqa: BLE001
+                    # left out: each of its tasks raises this again inside
+                    # the retry machinery and is quarantined, as serially
+                    continue
                 if validate_corpus:
                     g.validate()
                 sizes[(name, seed)] = g.size_measure

@@ -215,10 +215,6 @@ def kway_from_hierarchy(
     hierarchy: GraphHierarchy,
     k: int,
     space: ExecSpace,
-    *,
-    power_tol: float | None = None,
-    max_passes: int = 4,
-    balance_tol: float = 0.03,
 ) -> tuple[np.ndarray, dict]:
     """k-way partition of ``g`` reusing a prebuilt ``hierarchy``.
 
@@ -229,12 +225,10 @@ def kway_from_hierarchy(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     with space.span("kway", graph=g.name, k=k):
-        x, iters = spectral_vector(hierarchy, space, power_tol)
+        x, iters = spectral_vector(hierarchy, space)
         part = quantile_split(x, g.vwgts, k)
         with space.span("refine-kway", k=k):
-            part = greedy_kway_refine(
-                g, part, k, space, max_passes=max_passes, balance_tol=balance_tol
-            )
+            part = greedy_kway_refine(g, part, k, space)
     stats = {
         "k": k,
         "cut": edge_cut(g, part),

@@ -66,11 +66,9 @@ def multilevel_bisect(
     refinement: str = "fm",
     cutoff: int = COARSEN_CUTOFF,
     tracker: MemoryTracker | None = None,
-    power_tol: float | None = None,
     fm_passes: int = 8,
     fm_stall_limit: int | None = None,
     hierarchy: GraphHierarchy | None = None,
-    tape=None,
 ) -> PartitionResult:
     """Run the full multilevel bisection pipeline on ``g``.
 
@@ -80,16 +78,9 @@ def multilevel_bisect(
     lighter limits (2 passes, short non-improving-move streaks), which
     is what makes coarsening quality show through in Table VI.
 
-    Passing a prebuilt ``hierarchy`` skips coarsening; with its
-    recorded ``tape`` the build's charges/spans/tracker calls and RNG
-    advance are replayed first, so the result stays byte-identical to a
-    from-scratch run (see :mod:`repro.trace.tape`).  Without a
-    hierarchy, ``tape`` records the coarsening for later reuse.
+    Passing a prebuilt ``hierarchy`` skips coarsening.
     """
-    if hierarchy is not None:
-        if tape is not None:
-            tape.replay(space, tracker)
-    else:
+    if hierarchy is None:
         hierarchy = coarsen_multilevel(
             g,
             space,
@@ -97,11 +88,10 @@ def multilevel_bisect(
             constructor=constructor,
             cutoff=cutoff,
             tracker=tracker,
-            tape=tape,
         )
     if refinement == "spectral":
         with space.span("uncoarsen", refinement="spectral", graph=g.name):
-            part, stats = _uncoarsen_spectral(hierarchy, space, power_tol)
+            part, stats = _uncoarsen_spectral(hierarchy, space)
     elif refinement == "fm":
         with space.span("uncoarsen", refinement="fm", graph=g.name):
             part, stats = _uncoarsen_fm(hierarchy, space, fm_passes, fm_stall_limit)
@@ -121,7 +111,7 @@ def multilevel_bisect(
 
 
 def spectral_vector(
-    hierarchy: GraphHierarchy, space: ExecSpace, power_tol: float | None = None
+    hierarchy: GraphHierarchy, space: ExecSpace
 ) -> tuple[np.ndarray, list[int]]:
     """Fiedler vector on the finest graph, carried up the hierarchy.
 
@@ -131,26 +121,26 @@ def spectral_vector(
     then interpolate + warm-started power iteration per level.  Returns
     the finest-level vector and the per-level iteration counts.
 
-    The embedding depends only on the hierarchy, the machine,
-    ``power_tol`` and the RNG state at entry, so it is kept on the
-    hierarchy (``hierarchy.embeddings``).  The first read computes it
-    and notes the entry RNG state; a second read from the same state
-    records it on a :class:`~repro.trace.tape.Tape`; later reads from
-    that state replay the tape (charges, spans, RNG position) into the
-    caller's open span and return the kept ``x`` read-only.  A
+    The embedding depends only on the hierarchy, the machine and the
+    RNG state at entry, so it is kept on the hierarchy
+    (``hierarchy.embeddings``, keyed by machine name).  The first read
+    computes it and notes the entry RNG state; a second read from the
+    same state records it on a :class:`~repro.trace.tape.Tape`; later
+    reads from that state replay the tape (charges, spans, RNG position)
+    into the caller's open span and return the kept ``x`` read-only.  A
     hierarchy read once keeps only the noted state.
     """
-    key = (space.machine.name, power_tol)
+    key = space.machine.name
     entry = space.rng.bit_generator.state
     noted = hierarchy.embeddings.get(key)
     if noted is None or noted[0] != entry:
         if noted is None:
             hierarchy.embeddings[key] = (entry, None)
-        return _embed(hierarchy, space, power_tol)
+        return _embed(hierarchy, space)
     if noted[1] is None:
         tape = Tape()
         with tape.record(space):
-            x, iters = _embed(hierarchy, space, power_tol)
+            x, iters = _embed(hierarchy, space)
         x.setflags(write=False)
         hierarchy.embeddings[key] = (entry, (x, iters, tape))
     else:
@@ -160,10 +150,9 @@ def spectral_vector(
 
 
 def _embed(
-    hierarchy: GraphHierarchy, space: ExecSpace, power_tol: float | None
+    hierarchy: GraphHierarchy, space: ExecSpace
 ) -> tuple[np.ndarray, list[int]]:
     """Compute the embedding :func:`spectral_vector` returns."""
-    kw = {} if power_tol is None else {"tol": power_tol}
     coarsest = hierarchy.coarsest
     with space.span("initial", method="fiedler", n=coarsest.n):
         if coarsest.n <= 512:
@@ -171,7 +160,7 @@ def _embed(
             iters0 = 0
         else:  # hierarchies cut off above the dense threshold
             x, iters0 = fiedler_power_iteration(
-                coarsest, space, max_iters=_COARSE_ITERS, phase="initial", **kw
+                coarsest, space, max_iters=_COARSE_ITERS, phase="initial"
             )
     iters_per_level = [iters0]
     for level in range(len(hierarchy.mappings) - 1, -1, -1):
@@ -179,17 +168,17 @@ def _embed(
         with space.span("refine", level=level, method="power"):
             x = x[hierarchy.mappings[level].m]  # interpolate
             x, iters = fiedler_power_iteration(
-                fine, space, x0=x, max_iters=_LEVEL_ITERS, **kw
+                fine, space, x0=x, max_iters=_LEVEL_ITERS
             )
         iters_per_level.append(iters)
     return x, iters_per_level
 
 
 def _uncoarsen_spectral(
-    hierarchy: GraphHierarchy, space: ExecSpace, power_tol: float | None
+    hierarchy: GraphHierarchy, space: ExecSpace
 ) -> tuple[np.ndarray, dict]:
     """Carry the Fiedler vector from the coarsest to the finest level."""
-    x, iters_per_level = spectral_vector(hierarchy, space, power_tol)
+    x, iters_per_level = spectral_vector(hierarchy, space)
     part = median_split(x, hierarchy.graphs[0].vwgts)
     return part, {"power_iters": iters_per_level}
 

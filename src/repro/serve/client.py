@@ -50,7 +50,6 @@ class ServeClient:
         retries: int = 0,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
-        backoff_seed: int = 0,
         deadline: float | None = None,
     ):
         self.socket_path = str(socket_path)
@@ -58,7 +57,6 @@ class ServeClient:
         self.retries = max(0, int(retries))
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.backoff_seed = backoff_seed
         #: default per-request wall-clock budget in seconds (propagated
         #: to the daemon as ``deadline_ms``); None = no deadline
         self.deadline = deadline
@@ -120,8 +118,7 @@ class ServeClient:
             if attempt:
                 self.retried += 1
                 delay = backoff_delay(
-                    key, attempt - 1, base=self.backoff_base,
-                    cap=self.backoff_cap, seed=self.backoff_seed,
+                    key, attempt - 1, base=self.backoff_base, cap=self.backoff_cap
                 )
                 if deadline_at is not None:
                     delay = min(delay, max(0.0, deadline_at - time.monotonic()))

@@ -21,6 +21,7 @@ import threading
 import time
 from pathlib import Path
 
+from ..bench.report import baseline_entry, merge_baseline_file
 from .client import ServeClient, wait_for_server
 
 __all__ = ["build_mix", "run_loadtest", "percentile", "main"]
@@ -163,19 +164,6 @@ def run_loadtest(
 # ------------------------------------------------------------ gate + CLI
 
 
-def merge_bench_file(path: Path, key: str, entry: dict) -> None:
-    doc = {"schema": BENCH_SCHEMA, "configs": {}}
-    if path.exists():
-        try:
-            old = json.loads(path.read_text())
-        except ValueError:
-            old = {}
-        if isinstance(old.get("configs"), dict):
-            doc["configs"] = dict(old["configs"])
-    doc["configs"][key] = entry
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def compare_against(entry: dict, ref_path: Path, key: str,
                     max_regression: float) -> int:
     """Gate p50/p99 (and the hit-rate floor) against the committed file."""
@@ -184,7 +172,7 @@ def compare_against(entry: dict, ref_path: Path, key: str,
     except (OSError, ValueError) as e:
         print(f"ERROR: cannot read baseline {ref_path}: {e}")
         return 2
-    base = (ref.get("configs") or {}).get(key)
+    base = baseline_entry(ref, key)
     if base is None:
         print(f"ERROR: no entry for config {key!r} in {ref_path}")
         return 2
@@ -255,7 +243,7 @@ def main(args) -> int:
         return 1
 
     if args.out is not None:
-        merge_bench_file(args.out, key, entry)
+        merge_baseline_file(args.out, key, entry, BENCH_SCHEMA)
         print(f"wrote {args.out}")
     if args.compare is not None:
         return compare_against(entry, args.compare, key, args.max_regression)

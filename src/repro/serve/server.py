@@ -195,11 +195,10 @@ class Server:
             self._threads.append(t)
         return self
 
-    def serve_forever(self, *, install_signals: bool = True) -> int:
+    def serve_forever(self) -> int:
         """Run the accept loop in this thread until a stop signal."""
         self._bind()
-        if install_signals:
-            self.install_signal_handlers()
+        self.install_signal_handlers()
         t = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatcher", daemon=True
         )

@@ -16,10 +16,6 @@ RAM without changing a single result byte:
   row-aligned edge windows, disk spill buffers, an external merge sort
   that reproduces ``np.sort`` bit-exactly, and streamed run-length
   dedup.
-
-:class:`repro.storage.store.GraphStore` materialises mapped graphs
-straight into the PR-1 artifact cache as directory entries — no full
-in-memory detour.
 """
 
 from .budget import MemoryBudget, current, limit, parse_budget
@@ -31,10 +27,8 @@ from .mapped import (
     open_mapped,
     write_mapped,
 )
-from .store import GraphStore
 
 __all__ = [
-    "GraphStore",
     "MappedWriter",
     "MemoryBudget",
     "advise_dontneed",

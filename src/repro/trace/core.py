@@ -117,8 +117,8 @@ class Tracer:
     time and detaches.
     """
 
-    def __init__(self, name: str = "trace", machine=None, labels: dict | None = None):
-        self.machine = machine
+    def __init__(self, name: str = "trace", labels: dict | None = None):
+        self.machine = None
         self._next_sid = 0
         self.root = self._new_span(name, dict(labels or {}), None)
         self._stack: list[Span] = [self.root]

@@ -1,23 +1,32 @@
 """Benchmark harness: reporting helpers and experiment runners."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bench import (
+    baseline_entry,
     corpus_graph,
     format_table,
     geomean,
     median,
+    merge_baseline_file,
     ratio,
     run_coarsening,
     run_partition,
     space_for,
 )
+from repro.bench.report import WALLCLOCK_SCHEMA
+from repro.bench.scale import RSS_SCHEMA
 from repro.parallel import SimulatedOOM
+from repro.serve.loadtest import BENCH_SCHEMA
 
 from tests.conftest import random_connected
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestReport:
@@ -160,37 +169,30 @@ class TestWallclockBaseline:
         }
 
     def test_merge_creates_schema2(self, tmp_path):
-        import json
-
-        from repro.bench import merge_wallclock_file, wallclock_key, wallclock_reference
+        from repro.bench import wallclock_key
 
         path = tmp_path / "wall.json"
         key = wallclock_key("gpu", "hec", "sort", 0)
-        merge_wallclock_file(path, key, self._entry(1.5))
+        merge_baseline_file(path, key, self._entry(1.5), WALLCLOCK_SCHEMA)
         doc = json.loads(path.read_text())
         assert doc["schema"] == 2
-        assert wallclock_reference(doc, key)["per_graph_best_sum_s"] == 1.5
+        assert baseline_entry(doc, key)["per_graph_best_sum_s"] == 1.5
 
     def test_merge_accumulates_configs(self, tmp_path):
-        import json
-
-        from repro.bench import merge_wallclock_file, wallclock_key
+        from repro.bench import wallclock_key
 
         path = tmp_path / "wall.json"
-        merge_wallclock_file(path, wallclock_key("gpu", "hec", "sort", 0), self._entry(1.0))
-        merge_wallclock_file(path, wallclock_key("cpu", "hec", "sort", 0), self._entry(2.0))
-        merge_wallclock_file(path, wallclock_key("gpu", "hem", "sort", 0), self._entry(3.0))
+        for machine, coarsener, total in [("gpu", "hec", 1.0), ("cpu", "hec", 2.0),
+                                          ("gpu", "hem", 3.0)]:
+            merge_baseline_file(path, wallclock_key(machine, coarsener, "sort", 0),
+                                self._entry(total), WALLCLOCK_SCHEMA)
         doc = json.loads(path.read_text())
         assert set(doc["configs"]) == {"gpu:hec:sort:s0", "cpu:hec:sort:s0", "gpu:hem:sort:s0"}
 
     def test_replace_same_key(self, tmp_path):
-        import json
-
-        from repro.bench import merge_wallclock_file
-
         path = tmp_path / "wall.json"
-        merge_wallclock_file(path, "gpu:hec:sort:s0", self._entry(1.0))
-        merge_wallclock_file(path, "gpu:hec:sort:s0", self._entry(9.0))
+        merge_baseline_file(path, "gpu:hec:sort:s0", self._entry(1.0), WALLCLOCK_SCHEMA)
+        merge_baseline_file(path, "gpu:hec:sort:s0", self._entry(9.0), WALLCLOCK_SCHEMA)
         doc = json.loads(path.read_text())
         assert doc["configs"]["gpu:hec:sort:s0"]["per_graph_best_sum_s"] == 9.0
 
@@ -200,3 +202,31 @@ class TestWallclockBaseline:
         assert wallclock_key("gpu", "hec", "sort", 0) == "gpu:hec:sort:s0"
         assert wallclock_key("gpu", "hec", "sort", 0, jobs=1) == "gpu:hec:sort:s0"
         assert wallclock_key("gpu", "hec", "sort", 0, jobs=2) == "gpu:hec:sort:s0:j2"
+
+
+#: each committed baseline file, the schema its writer stamps, and that
+#: schema's number (update-stream entries share BENCH_wallclock.json)
+BASELINE_FILES = [
+    ("BENCH_wallclock.json", WALLCLOCK_SCHEMA, 2),
+    ("BENCH_rss.json", RSS_SCHEMA, 2),
+    ("BENCH_serving.json", BENCH_SCHEMA, 1),
+]
+
+
+class TestBaselineFile:
+    @pytest.mark.parametrize("name,schema,number", BASELINE_FILES,
+                             ids=["wallclock", "rss", "serving"])
+    def test_merge_and_lookup(self, tmp_path, name, schema, number):
+        committed = json.loads((REPO_ROOT / name).read_text())
+        assert schema == number == committed["schema"]
+
+        path = tmp_path / name
+        path.write_text("{not json")  # unreadable: the merge starts over
+        merge_baseline_file(path, "a", {"x": 1}, schema)
+        merge_baseline_file(path, "b", {"x": 2}, schema)
+        merge_baseline_file(path, "a", {"x": 3}, schema)  # replaces "a" only
+        doc = json.loads(path.read_text())
+        assert doc == {"schema": schema, "configs": {"a": {"x": 3}, "b": {"x": 2}}}
+        assert baseline_entry(doc, "a") == {"x": 3}
+        assert baseline_entry(doc, "missing") is None
+        assert baseline_entry({}, "a") is None

@@ -243,22 +243,6 @@ class TestEarlyExitAndFastPaths:
 
 
 class TestWiring:
-    def test_coarsen_multilevel_delta_mode(self, patched_vs_full):
-        via = coarsen_multilevel(
-            patched_vs_full["g1"], space(),
-            delta=patched_vs_full["delta"], base=patched_vs_full["base"],
-        )
-        assert via.stats["coarsener"] == "hec_delta"
-        assert_hierarchy_equal(via, patched_vs_full["patch"])
-
-    def test_delta_requires_base_and_vice_versa(self, patched_vs_full):
-        with pytest.raises(ValueError, match="both delta= and base="):
-            coarsen_multilevel(patched_vs_full["g1"], space(),
-                               delta=patched_vs_full["delta"])
-        with pytest.raises(ValueError, match="both delta= and base="):
-            coarsen_multilevel(patched_vs_full["g1"], space(),
-                               base=patched_vs_full["base"])
-
     def test_non_hec_base_rejected(self, patched_vs_full):
         base, g1 = patched_vs_full["base"], patched_vs_full["g1"]
         tampered = dict(base.stats)

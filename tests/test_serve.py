@@ -19,7 +19,13 @@ from pathlib import Path
 import pytest
 
 from repro import faultinject
-from repro.bench.harness import run_partition_kway
+from repro.bench.harness import (
+    run_cluster,
+    run_coarsening,
+    run_partition,
+    run_partition_kway,
+)
+from repro.bench.report import merge_baseline_file
 from repro.coarsen import multilevel as ml
 from repro.generators import corpus
 from repro.parallel import shm as shm_lifecycle
@@ -45,9 +51,9 @@ from repro.serve import protocol
 from repro.serve.executor import MAX_IDEM_ENTRIES, ServeExecutor, request_key
 from repro.serve.journal import STATE_NAME, record_digest, request_digest
 from repro.serve.loadtest import (
+    BENCH_SCHEMA,
     build_mix,
     compare_against,
-    merge_bench_file,
     percentile,
     run_loadtest,
 )
@@ -75,11 +81,24 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _reuse_free_row(req) -> dict:
+    """The row of the harness runner a request maps to, from a fresh
+    coarsening: no hierarchy, no embedding reused."""
+    g, spec = corpus.load(req["graph"], req["seed"])
+    kw = {k: req[k] for k in ("machine", "coarsener", "constructor", "seed", "oom")}
+    if req["op"] == "coarsen":
+        result = run_coarsening(g, spec, **kw)
+    elif req["op"] == "cluster":
+        result = run_cluster(g, spec, **kw)
+    elif req["k"] == 2:
+        result = run_partition(g, spec, refinement=req["refinement"], **kw)
+    else:
+        result = run_partition_kway(g, spec, k=req["k"], **kw)
+    return row_from_result(result)
+
+
 def _kway_row(graph, k, seed=0) -> dict:
-    """A k-way row from a fresh coarsening: no hierarchy, no embedding
-    reused."""
-    g, spec = corpus.load(graph, seed)
-    return row_from_result(run_partition_kway(g, spec, k=k, seed=seed, oom=False))
+    return _reuse_free_row(_req(graph=graph, k=k, seed=seed))
 
 
 def _bisect_row(graph, seed=0) -> dict:
@@ -324,12 +343,18 @@ class TestHierarchyReuse:
             tiles.configure(1)
         _no_own_segments()
 
-    def test_reuse_spans_ops(self):
-        """coarsen / bisect / k-way / cluster share one hierarchy."""
+    @pytest.mark.parametrize("first", ["coarsen", "bisect-fm", "kway8", "cluster"])
+    def test_reuse_spans_ops(self, first):
+        """coarsen / FM bisection / k-way / cluster share one hierarchy
+        whichever op builds it, and every row equals a reuse-free run's."""
+        reqs = {"coarsen": _req(op="coarsen"), "bisect-fm": _req(),
+                "kway8": _req(k=8), "cluster": _req(op="cluster")}
         ex = ServeExecutor()
         try:
-            for req in (_req(op="coarsen"), _req(), _req(k=8), _req(op="cluster")):
-                assert ex.execute(req)["status"] == "ok"
+            for name in [first] + [n for n in reqs if n != first]:
+                resp = ex.execute(reqs[name])
+                assert resp["status"] == "ok", resp
+                assert _canon(resp["row"]) == _canon(_reuse_free_row(reqs[name])), name
             stats = ex.hierarchies.stats()
             assert stats["builds"] == 1
             assert stats["hits"] == 3
@@ -724,7 +749,7 @@ class TestLoadtestHarness:
             "overall": {"p50_ms": 10.0, "p99_ms": 50.0},
             "hierarchy": {"hit_rate": 0.9},
         }
-        merge_bench_file(path, "cfg", entry)
+        merge_baseline_file(path, "cfg", entry, BENCH_SCHEMA)
         doc = json.loads(path.read_text())
         assert doc["schema"] == 1 and "cfg" in doc["configs"]
         # same numbers: passes
@@ -739,13 +764,6 @@ class TestLoadtestHarness:
         assert compare_against(cold, path, "cfg", max_regression=0.5) == 1
         # unknown config key: hard error
         assert compare_against(entry, path, "nope", max_regression=0.5) == 2
-
-    def test_merge_preserves_other_configs(self, tmp_path):
-        path = tmp_path / "b.json"
-        merge_bench_file(path, "a", {"x": 1})
-        merge_bench_file(path, "b", {"x": 2})
-        doc = json.loads(path.read_text())
-        assert set(doc["configs"]) == {"a", "b"}
 
     def test_committed_baseline_matches_loadtest_key(self):
         """CI replays n=160/c=4/j=1 over ppa,citation — pin the key."""

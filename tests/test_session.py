@@ -281,6 +281,19 @@ class TestSupervisedPool:
         assert [r["graph"] for r in out.results] == ["citation"]
         _no_leaks()
 
+    def test_unloadable_graph_quarantined_as_serially(self):
+        """A graph that fails to load is quarantined at ``jobs=2`` exactly
+        as at ``jobs=1``; the other graphs' rows are unaffected."""
+        tasks = [ExperimentTask(kind="coarsen", graph="nope"), TASKS[0]]
+        serial, pooled = [run_session(tasks, jobs=j, retries=0) for j in (1, 2)]
+        for out in (serial, pooled):
+            assert [r["graph"] for r in out.results] == ["ppa"]
+            (entry,) = out.failed
+            assert entry["key"] == tasks[0].key()
+            assert entry["kind"] == "KeyError"
+        assert _rows_key(pooled.results) == _rows_key(serial.results)
+        _no_leaks()
+
     def test_task_fn_rows_follow_task_order_not_completion_order(self):
         out = run_session(TASKS, jobs=2, retries=0, task_fn=_slow_first_task)
         assert [r["graph"] for r in out.results] == [t.graph for t in TASKS]

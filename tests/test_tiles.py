@@ -571,14 +571,3 @@ class TestRssSchema:
         assert wallclock_key("gpu", "hec", "sort", 0, threads=2) == "gpu:hec:sort:s0:t2"
         assert wallclock_key("gpu", "hec", "sort", 0, jobs=2, threads=4) \
             == "gpu:hec:sort:s0:j2:t4"
-
-    def test_merge_replaces_same_key(self, tmp_path):
-        import json
-
-        from repro.bench.scale import merge_rss_file
-
-        path = tmp_path / "rss.json"
-        merge_rss_file(path, "k", {"per_graph": {"a": 1}})
-        merge_rss_file(path, "k", {"per_graph": {"a": 2}})
-        doc = json.loads(path.read_text())
-        assert doc["configs"]["k"]["per_graph"]["a"] == 2
