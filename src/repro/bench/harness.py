@@ -9,6 +9,8 @@ simulated times, phase splits, and hierarchy statistics.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..coarsen.multilevel import coarsen_multilevel
@@ -61,6 +63,32 @@ def _hierarchy(g, space, tracker, coarsener, constructor, reuse):
     return hierarchy
 
 
+@contextmanager
+def _traced(space, trace, name, labels):
+    """Trace the enclosed block on ``space`` when ``trace`` is set.
+
+    Attaches a :class:`~repro.trace.Tracer` for the block and closes it
+    on exit.  Yields ``finish(result)``, which returns the result dict
+    with the tracer under ``trace`` -- or, untraced, without a ``trace``
+    key, so the row :func:`repro.parallel.pool.row_from_result` builds
+    is exactly the batch ``results.json`` row.  Untraced, no tracer is
+    attached: ``space.span`` is a no-op and a tape replay charges only
+    the ledger and the memory tracker.
+    """
+    tracer = Tracer(name, labels=labels).attach(space) if trace else None
+
+    def finish(result: dict) -> dict:
+        if tracer is not None:
+            result["trace"] = tracer
+        return result
+
+    try:
+        yield finish
+    finally:
+        if tracer is not None:
+            tracer.close()
+
+
 def space_for(machine: str, seed: int = 0) -> ExecSpace:
     """``"gpu"`` or ``"cpu"`` execution space with a fresh ledger."""
     if machine == "gpu":
@@ -108,23 +136,21 @@ def run_coarsening(
     seed: int = 0,
     oom: bool = True,
     reuse=None,
+    trace: bool = True,
 ) -> dict:
     """One multilevel coarsening run; returns Table II/III/IV quantities.
 
     On a simulated OOM the dict carries ``oom=True`` and ``None`` times —
     exactly the information the paper's OOM table cells convey.
 
-    Every result carries ``trace``: a closed :class:`repro.trace.Tracer`
-    whose per-phase rollup equals the ledger's phase splits exactly
-    (``trace.to_dict()`` / ``trace.save(path)`` serialize it).
+    With ``trace`` (the default) the result carries ``trace``: a closed
+    :class:`repro.trace.Tracer` whose per-phase rollup equals the
+    ledger's phase splits exactly (``trace.to_dict()`` /
+    ``trace.save(path)`` serialize it).  Untraced, it has no ``trace``
+    key and every other field is unchanged.
     """
     space = space_for(machine, seed)
     tracker = _tracker(g, spec, space, coarsener, oom)
-    tracer = Tracer(
-        "run_coarsening",
-        labels={"kind": "coarsen", "machine": machine, "coarsener": coarsener,
-                "constructor": constructor, "graph": g.name, "seed": seed},
-    ).attach(space)
     base = {
         "graph": g.name,
         "machine": machine,
@@ -132,19 +158,22 @@ def run_coarsening(
         "constructor": constructor,
         "seed": seed,
     }
-    try:
-        hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
-    except SimulatedOOM:
-        return {**base, "oom": True, "total_s": None, "construction_s": None,
-                "mapping_s": None, "levels": None, "cr": None,
-                "trace": tracer.close()}
-    finally:
-        tracer.close()
+    with _traced(
+        space, trace, "run_coarsening",
+        {"kind": "coarsen", "machine": machine, "coarsener": coarsener,
+         "constructor": constructor, "graph": g.name, "seed": seed},
+    ) as finish:
+        try:
+            hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
+        except SimulatedOOM:
+            return finish({**base, "oom": True, "total_s": None,
+                           "construction_s": None, "mapping_s": None,
+                           "levels": None, "cr": None})
     mach = space.machine
     mapping_s = mach.phase_seconds(space.ledger, "mapping")
     construction_s = mach.phase_seconds(space.ledger, "construction")
     transfer_s = mach.phase_seconds(space.ledger, "transfer")
-    return {
+    return finish({
         **base,
         "oom": False,
         "mapping_s": mapping_s,
@@ -158,8 +187,7 @@ def run_coarsening(
         "coarsest_n": hierarchy.coarsest.n,
         "peak_mem": tracker.peak,
         "hierarchy": hierarchy,
-        "trace": tracer,
-    }
+    })
 
 
 def run_partition(
@@ -173,20 +201,16 @@ def run_partition(
     seed: int = 0,
     oom: bool = True,
     reuse=None,
+    trace: bool = True,
 ) -> dict:
     """One multilevel bisection run; returns Table V/VI quantities.
 
     Like :func:`run_coarsening`, the result carries ``trace`` (closed
-    tracer) and ``peak_mem`` (projected peak of the memory tracker).
+    tracer, unless ``trace`` is off) and ``peak_mem`` (projected peak of
+    the memory tracker).
     """
     space = space_for(machine, seed)
     tracker = _tracker(g, spec, space, coarsener, oom)
-    tracer = Tracer(
-        "run_partition",
-        labels={"kind": "partition", "machine": machine, "coarsener": coarsener,
-                "constructor": constructor, "refinement": refinement,
-                "graph": g.name, "seed": seed},
-    ).attach(space)
     base = {
         "graph": g.name,
         "machine": machine,
@@ -194,21 +218,25 @@ def run_partition(
         "refinement": refinement,
         "seed": seed,
     }
-    try:
-        hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
-        res = multilevel_bisect(
-            g,
-            space,
-            coarsener=coarsener,
-            constructor=constructor,
-            refinement=refinement,
-            hierarchy=hierarchy,
-        )
-    except SimulatedOOM:
-        return {**base, "oom": True, "cut": None, "total_s": None, "coarsen_pct": None,
-                "peak_mem": tracker.peak, "trace": tracer.close()}
-    finally:
-        tracer.close()
+    with _traced(
+        space, trace, "run_partition",
+        {"kind": "partition", "machine": machine, "coarsener": coarsener,
+         "constructor": constructor, "refinement": refinement,
+         "graph": g.name, "seed": seed},
+    ) as finish:
+        try:
+            hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
+            res = multilevel_bisect(
+                g,
+                space,
+                coarsener=coarsener,
+                constructor=constructor,
+                refinement=refinement,
+                hierarchy=hierarchy,
+            )
+        except SimulatedOOM:
+            return finish({**base, "oom": True, "cut": None, "total_s": None,
+                           "coarsen_pct": None, "peak_mem": tracker.peak})
     mach = space.machine
     mapping_s = mach.phase_seconds(space.ledger, "mapping")
     construction_s = mach.phase_seconds(space.ledger, "construction")
@@ -217,7 +245,7 @@ def run_partition(
     refine_s = mach.phase_seconds(space.ledger, "refinement")
     coarsen_s = mapping_s + construction_s + transfer_s
     total_s = coarsen_s + initial_s + refine_s
-    return {
+    return finish({
         **base,
         "oom": False,
         "cut": res.cut,
@@ -229,8 +257,7 @@ def run_partition(
         "levels": res.levels,
         "peak_mem": tracker.peak,
         "result": res,
-        "trace": tracer,
-    }
+    })
 
 
 def run_partition_kway(
@@ -244,6 +271,7 @@ def run_partition_kway(
     seed: int = 0,
     oom: bool = True,
     reuse=None,
+    trace: bool = True,
 ) -> dict:
     """k-way partition via spectral quantiles + greedy refinement.
 
@@ -254,12 +282,6 @@ def run_partition_kway(
     """
     space = space_for(machine, seed)
     tracker = _tracker(g, spec, space, coarsener, oom)
-    tracer = Tracer(
-        "run_partition_kway",
-        labels={"kind": "kway", "machine": machine, "coarsener": coarsener,
-                "constructor": constructor, "refinement": f"greedy-k{k}",
-                "graph": g.name, "seed": seed},
-    ).attach(space)
     base = {
         "graph": g.name,
         "machine": machine,
@@ -267,14 +289,18 @@ def run_partition_kway(
         "k": k,
         "seed": seed,
     }
-    try:
-        hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
-        part, stats = kway_from_hierarchy(g, hierarchy, k, space)
-    except SimulatedOOM:
-        return {**base, "oom": True, "cut": None, "total_s": None,
-                "peak_mem": tracker.peak, "trace": tracer.close()}
-    finally:
-        tracer.close()
+    with _traced(
+        space, trace, "run_partition_kway",
+        {"kind": "kway", "machine": machine, "coarsener": coarsener,
+         "constructor": constructor, "refinement": f"greedy-k{k}",
+         "graph": g.name, "seed": seed},
+    ) as finish:
+        try:
+            hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
+            part, stats = kway_from_hierarchy(g, hierarchy, k, space)
+        except SimulatedOOM:
+            return finish({**base, "oom": True, "cut": None, "total_s": None,
+                           "peak_mem": tracker.peak})
     mach = space.machine
     coarsen_s = sum(
         mach.phase_seconds(space.ledger, p)
@@ -283,7 +309,7 @@ def run_partition_kway(
     total_s = coarsen_s + sum(
         mach.phase_seconds(space.ledger, p) for p in ("initial", "refinement")
     )
-    return {
+    return finish({
         **base,
         "oom": False,
         "cut": stats["cut"],
@@ -293,8 +319,7 @@ def run_partition_kway(
         "levels": hierarchy.levels,
         "peak_mem": tracker.peak,
         "part": part,
-        "trace": tracer,
-    }
+    })
 
 
 def run_cluster(
@@ -307,6 +332,7 @@ def run_cluster(
     seed: int = 0,
     oom: bool = True,
     reuse=None,
+    trace: bool = True,
 ) -> dict:
     """Multilevel clustering: coarsest vertices become cluster labels.
 
@@ -317,41 +343,39 @@ def run_cluster(
     """
     space = space_for(machine, seed)
     tracker = _tracker(g, spec, space, coarsener, oom)
-    tracer = Tracer(
-        "run_cluster",
-        labels={"kind": "cluster", "machine": machine, "coarsener": coarsener,
-                "constructor": constructor, "graph": g.name, "seed": seed},
-    ).attach(space)
     base = {
         "graph": g.name,
         "machine": machine,
         "coarsener": coarsener,
         "seed": seed,
     }
-    try:
-        hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
-        with space.span("cluster", graph=g.name):
-            labels = hierarchy.project(np.arange(hierarchy.coarsest.n))
-            # one gather per level: x = x[mapping.m]
-            space.ledger.charge(
-                "cluster",
-                KernelCost(
-                    stream_bytes=8.0 * sum(len(m.m) for m in hierarchy.mappings),
-                    launches=max(len(hierarchy.mappings), 1),
-                ),
-            )
-    except SimulatedOOM:
-        return {**base, "oom": True, "clusters": None, "total_s": None,
-                "peak_mem": tracker.peak, "trace": tracer.close()}
-    finally:
-        tracer.close()
+    with _traced(
+        space, trace, "run_cluster",
+        {"kind": "cluster", "machine": machine, "coarsener": coarsener,
+         "constructor": constructor, "graph": g.name, "seed": seed},
+    ) as finish:
+        try:
+            hierarchy = _hierarchy(g, space, tracker, coarsener, constructor, reuse)
+            with space.span("cluster", graph=g.name):
+                labels = hierarchy.project(np.arange(hierarchy.coarsest.n))
+                # one gather per level: x = x[mapping.m]
+                space.ledger.charge(
+                    "cluster",
+                    KernelCost(
+                        stream_bytes=8.0 * sum(len(m.m) for m in hierarchy.mappings),
+                        launches=max(len(hierarchy.mappings), 1),
+                    ),
+                )
+        except SimulatedOOM:
+            return finish({**base, "oom": True, "clusters": None, "total_s": None,
+                           "peak_mem": tracker.peak})
     mach = space.machine
     coarsen_s = sum(
         mach.phase_seconds(space.ledger, p)
         for p in ("mapping", "construction", "transfer")
     )
     total_s = coarsen_s + mach.phase_seconds(space.ledger, "cluster")
-    return {
+    return finish({
         **base,
         "oom": False,
         "clusters": int(hierarchy.coarsest.n),
@@ -360,5 +384,4 @@ def run_cluster(
         "coarsen_s": coarsen_s,
         "peak_mem": tracker.peak,
         "labels": labels,
-        "trace": tracer,
-    }
+    })

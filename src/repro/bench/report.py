@@ -186,24 +186,27 @@ def merge_baseline_file(path: Path, key: str, entry: dict, schema: int) -> None:
     """Insert/replace one config entry in a multi-config baseline file.
 
     The one writer of ``BENCH_wallclock.json``, ``BENCH_rss.json`` and
-    ``BENCH_serving.json``: other configs are kept, an unparsable file
-    starts over, and the document is stamped with ``schema``.
+    ``BENCH_serving.json``: other configs are kept, a file that does not
+    parse as a JSON object starts over, and the document is stamped with
+    ``schema``.
     """
     doc = {"schema": schema, "configs": {}}
     if path.exists():
         try:
             old = json.loads(path.read_text())
         except ValueError:
-            old = {}
-        if isinstance(old.get("configs"), dict):
-            doc["configs"] = dict(old["configs"])
+            old = None
+        configs = old.get("configs") if isinstance(old, dict) else None
+        if isinstance(configs, dict):
+            doc["configs"] = dict(configs)
     doc["configs"][key] = entry
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def baseline_entry(ref: dict, key: str) -> dict | None:
-    """Find the entry gating ``key`` in a loaded baseline file."""
-    configs = ref.get("configs")
+def baseline_entry(ref, key: str) -> dict | None:
+    """Find the entry gating ``key`` in a loaded baseline file (``None``
+    when ``ref`` is not a baseline document)."""
+    configs = ref.get("configs") if isinstance(ref, dict) else None
     return configs.get(key) if isinstance(configs, dict) else None
 
 

@@ -138,16 +138,16 @@ def row_from_result(result: dict) -> dict:
     """A harness result's JSON-scalar fields plus its serialized trace.
 
     The one row builder: batch rows (``results.json``) and served rows
-    both come from here, so they stay byte-identical.
+    both come from here, so they stay byte-identical.  A result run
+    with ``trace=False`` has no ``trace`` key, and neither has its row.
     """
     row = {
         k: v
         for k, v in result.items()
         if isinstance(v, (int, float, str, bool)) or v is None
     }
-    tracer = result.get("trace")
-    if tracer is not None:
-        row["trace"] = tracer.to_dict() if hasattr(tracer, "to_dict") else tracer
+    if "trace" in result:
+        row["trace"] = result["trace"].to_dict()
     return row
 
 

@@ -10,12 +10,13 @@ Subcommands::
     python -m repro.serve loadtest --socket S --spawn --out BENCH_serving.json
 
 Bare invocation (no subcommand) runs the daemon.  ``request`` with
-``--trace-dir`` writes the same ``results.json`` + ``<key>.trace.json``
-files as the batch CLI, which is how CI diffs served responses against
-the batch path byte for byte.  ``supervise`` keeps a daemon subprocess
-alive: a crash (any nonzero exit without a stop signal) respawns it
-with ``--recover`` within a restart budget; SIGTERM is forwarded so the
-child drains gracefully and the supervisor exits with its code.
+``--trace-dir`` asks for each row's trace (``"trace": true``) and writes
+the same ``results.json`` + ``<key>.trace.json`` files as the batch CLI,
+which is how CI diffs served responses against the batch path byte for
+byte.  ``supervise`` keeps a daemon subprocess alive: a crash (any
+nonzero exit without a stop signal) respawns it with ``--recover``
+within a restart budget; SIGTERM is forwarded so the child drains
+gracefully and the supervisor exits with its code.
 """
 
 from __future__ import annotations
@@ -144,6 +145,9 @@ def _cmd_request(args) -> int:
         if args.assignment:
             req["assignment"] = True
         reqs = [req]
+    if args.trace_dir is not None:
+        # the traces --trace-dir writes are sent only on request
+        reqs = [{**req, "trace": True} for req in reqs]
 
     rows, failures = [], 0
     with ServeClient(str(args.socket)) as client:
@@ -256,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_r.add_argument("--remove", action="append", default=[], metavar="U:V",
                      help="update_graph: remove one edge (repeatable)")
     p_r.add_argument("--trace-dir", type=Path, default=None,
-                     help="write results.json + traces exactly like the "
-                          "batch CLI (enables byte-for-byte diffing)")
+                     help="ask for traces and write results.json + traces "
+                          "exactly like the batch CLI (enables byte-for-byte "
+                          "diffing)")
 
     p_l = sub.add_parser("loadtest", help="replay a mixed request set")
     p_l.add_argument("--socket", type=Path, default=Path("repro-serve.sock"))

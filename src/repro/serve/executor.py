@@ -7,8 +7,10 @@ plumbing as :func:`repro.parallel.pool._execute` and builds the row with
 the same :func:`repro.parallel.pool.row_from_result`; the only additions
 are the hierarchy-reuse handle (whose tape replay is bitwise neutral,
 see :mod:`repro.trace.tape`) and response metadata that never enters
-the row.  Every request runs in this process, in dispatcher order, so
-every hierarchy it builds enters the cache that the next request hits.
+the row.  The span trace is opt-in: a request without ``"trace": true``
+runs untraced and gets the batch row minus its ``trace`` key.  Every
+request runs in this process, in dispatcher order, so every hierarchy
+it builds enters the cache that the next request hits.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ class ServeExecutor:
         common = dict(
             machine=req["machine"], coarsener=req["coarsener"],
             constructor=req["constructor"], seed=req["seed"], oom=req["oom"],
-            reuse=reuse,
+            reuse=reuse, trace=req.get("trace", False),
         )
         if req["op"] == "coarsen":
             result = run_coarsening(g, spec, **common)

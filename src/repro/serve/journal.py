@@ -74,11 +74,14 @@ def record_digest(record: dict) -> str:
 def request_digest(req: dict) -> str:
     """Identity of a request for poison tracking.
 
-    Idempotency keys and deadlines are delivery metadata, not request
-    identity: a retry of a crashing request must land on the same
-    digest, or repeat offenders would never accumulate strikes.
+    Idempotency keys, deadlines and the ``trace`` flag are delivery
+    metadata, not request identity: a retry of a crashing request must
+    land on the same digest, traced or not, or repeat offenders would
+    never accumulate strikes.
     """
-    core = {k: v for k, v in req.items() if k not in ("idem", "deadline_ms")}
+    core = {
+        k: v for k, v in req.items() if k not in ("idem", "deadline_ms", "trace")
+    }
     return hashlib.sha256(_canonical(core).encode()).hexdigest()[:16]
 
 
@@ -233,9 +236,10 @@ def recover_executor(executor, directory, *, strict: bool = False) -> dict:
 
     Replays the journal's valid prefix **in order**: tenants reload
     through the registry from the artifact cache, hierarchies
-    are deterministically rebuilt in-process and their tapes verified
-    against the journaled digest (a mismatch evicts the entry and is
-    reported — never served), updates re-apply through the same
+    are deterministically rebuilt in-process, untraced, and their tapes
+    verified against the journaled digest (a tape logs its spans with or
+    without a tracer; a mismatch evicts the entry and is reported —
+    never served), updates re-apply through the same
     ``apply_edges``/patch path the live daemon used, and idempotency
     keys are reloaded with their journaled responses.  Dangling
     ``exec-begin`` brackets become poison strikes.
@@ -285,6 +289,7 @@ def recover_executor(executor, directory, *, strict: bool = False) -> dict:
                     "machine": key[2], "coarsener": key[3],
                     "constructor": key[4], "oom": key[5],
                     "refinement": "fm", "k": 2, "assignment": False,
+                    "trace": False,
                 }
                 resp = executor.execute(req)
                 entry = executor.hierarchies.entry(key)

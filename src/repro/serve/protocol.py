@@ -12,6 +12,10 @@ Requests are plain objects::
      "coarsener": "hec", "constructor": "sort", "refinement": "fm",
      "k": 2, "seed": 0}
 
+``"trace": true`` asks for the row's span trace (the ``trace`` key the
+batch CLI writes to ``<key>.trace.json``); without it the row is
+exactly the batch ``results.json`` row.
+
 Responses carry ``status``: ``"ok"`` (with the harness row), ``"error"``
 (with a message), or ``"rejected"`` — the typed admission-control
 response, carrying the reason (``queue-full`` / ``shutting-down``) so a
@@ -66,6 +70,7 @@ _FIELDS = {
     "seed": 0,
     "oom": False,
     "assignment": False,
+    "trace": False,
 }
 
 

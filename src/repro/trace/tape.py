@@ -23,7 +23,9 @@ the kernels, without paying for them.
 
 Recording is non-invasive: the hooks (an extra ledger listener, a span
 proxy, a tracker proxy) observe without perturbing any float, so a
-recorded run is itself byte-identical to an unrecorded one.
+recorded run is itself byte-identical to an unrecorded one.  The span
+proxy logs every span whether or not a tracer sits under it, so a tape
+recorded by an untraced run replays into a traced one bitwise.
 """
 
 from __future__ import annotations
@@ -131,7 +133,9 @@ class Tape:
         float values; spans open/close through ``space.span`` so an
         attached tracer attributes them exactly as the recorded run's
         tracer did; tracker calls rebuild the same projected peak; and
-        the RNG is left in the recorded post-coarsening state.
+        the RNG is left in the recorded post-coarsening state.  With no
+        tracer on ``space`` the span events are skipped, since
+        ``space.span`` would do nothing with them.
         """
         if not self.complete:
             raise TapeIncomplete("cannot replay a tape that never finished recording")
@@ -140,6 +144,7 @@ class Tape:
                 f"tape recorded on {self.machine!r} cannot replay on "
                 f"{space.machine.name!r}: charges price differently"
             )
+        traced = space.tracer is not None
         stack: list = []
         try:
             for ev in self.events:
@@ -147,11 +152,13 @@ class Tape:
                 if kind == "charge":
                     space.ledger.charge(ev[1], ev[2])
                 elif kind == "open":
-                    ctx = space.span(ev[1], **ev[2])
-                    ctx.__enter__()
-                    stack.append(ctx)
+                    if traced:
+                        ctx = space.span(ev[1], **ev[2])
+                        ctx.__enter__()
+                        stack.append(ctx)
                 elif kind == "close":
-                    stack.pop().__exit__(None, None, None)
+                    if traced:
+                        stack.pop().__exit__(None, None, None)
                 elif kind == "hold":
                     if tracker is not None:
                         tracker.hold_level(ev[1], ev[2])

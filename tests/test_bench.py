@@ -221,12 +221,16 @@ class TestBaselineFile:
         assert schema == number == committed["schema"]
 
         path = tmp_path / name
-        path.write_text("{not json")  # unreadable: the merge starts over
-        merge_baseline_file(path, "a", {"x": 1}, schema)
-        merge_baseline_file(path, "b", {"x": 2}, schema)
-        merge_baseline_file(path, "a", {"x": 3}, schema)  # replaces "a" only
-        doc = json.loads(path.read_text())
-        assert doc == {"schema": schema, "configs": {"a": {"x": 3}, "b": {"x": 2}}}
+        # unparsable, or JSON but not an object: the merge starts over
+        for unreadable in ("{not json", "[]"):
+            path.write_text(unreadable)
+            merge_baseline_file(path, "a", {"x": 1}, schema)
+            merge_baseline_file(path, "b", {"x": 2}, schema)
+            merge_baseline_file(path, "a", {"x": 3}, schema)  # replaces "a" only
+            doc = json.loads(path.read_text())
+            assert doc == {"schema": schema,
+                           "configs": {"a": {"x": 3}, "b": {"x": 2}}}
         assert baseline_entry(doc, "a") == {"x": 3}
         assert baseline_entry(doc, "missing") is None
         assert baseline_entry({}, "a") is None
+        assert baseline_entry([], "a") is None

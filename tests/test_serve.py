@@ -70,15 +70,22 @@ def _disarm_faults():
 
 
 def _req(op="partition", graph="ppa", **over):
+    """A request with every field ``validate_request`` fills in, asking
+    for the trace so that its row is the full batch row."""
     base = {"op": op, "graph": graph, "machine": "gpu", "coarsener": "hec",
             "constructor": "sort", "refinement": "fm", "k": 2, "seed": 0,
-            "oom": False, "assignment": False}
+            "oom": False, "assignment": False, "trace": True}
     base.update(over)
     return base
 
 
 def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True)
+
+
+def _without_trace(row) -> dict:
+    """The row a request that does not ask for the trace gets."""
+    return {k: v for k, v in row.items() if k != "trace"}
 
 
 def _reuse_free_row(req) -> dict:
@@ -190,7 +197,7 @@ class TestProtocol:
 
     def test_validate_applies_defaults(self):
         out = protocol.validate_request({"op": "partition", "graph": "ppa"})
-        assert out == _req()
+        assert out == _req(trace=False)
 
     def test_validate_rejections(self):
         for bad, pat in [
@@ -200,6 +207,7 @@ class TestProtocol:
             ({"op": "partition", "graph": "ppa", "k": "two"}, "must be int"),
             ({"op": "partition", "graph": "ppa", "machine": "tpu"}, "machine"),
             ({"op": "partition", "graph": "ppa", "refinement": "km"}, "refinement"),
+            ({"op": "partition", "graph": "ppa", "trace": "yes"}, "must be bool"),
         ]:
             with pytest.raises(ProtocolError, match=pat):
                 protocol.validate_request(bad)
@@ -274,6 +282,56 @@ class TestServeExecutor:
             ex.registry.close()
         _no_own_segments()
 
+    @pytest.mark.parametrize("op", ["coarsen", "bisect-fm", "bisect-spectral",
+                                    "kway8", "cluster"])
+    def test_trace_opt_in(self, op):
+        """A read that does not ask for the trace gets the batch row
+        without its ``trace`` key, whether it builds the hierarchy or
+        replays it; a traced read of the same hierarchy gets the full
+        batch row."""
+        req = {"coarsen": _req(op="coarsen"), "bisect-fm": _req(),
+               "bisect-spectral": _req(refinement="spectral"),
+               "kway8": _req(k=8), "cluster": _req(op="cluster")}[op]
+        want = _reuse_free_row(req)
+        ex = ServeExecutor()
+        try:
+            for trace in (False, True, False):
+                resp = ex.execute({**req, "trace": trace})
+                assert resp["status"] == "ok", resp
+                if trace:
+                    assert _canon(resp["row"]) == _canon(want)
+                else:
+                    assert "trace" not in resp["row"]
+                    assert _canon(resp["row"]) == _canon(_without_trace(want))
+            assert ex.hierarchies.stats()["builds"] == 1
+        finally:
+            ex.registry.close()
+        _no_own_segments()
+
+    def test_untraced_reads_never_touch_a_tracer(self, monkeypatch):
+        """Untraced builds, hits and embedding replays attach no tracer
+        and serialize none."""
+        from repro.trace import Tracer
+
+        def boom(*args, **kwargs):
+            raise AssertionError("an untraced read used a Tracer")
+
+        monkeypatch.setattr(Tracer, "attach", boom)
+        monkeypatch.setattr(Tracer, "to_dict", boom)
+        ex = ServeExecutor()
+        try:
+            for req in (_req(op="coarsen"), _req(k=3), _req(k=4), _req(k=5),
+                        _req(refinement="spectral"), _req(), _req(op="cluster")):
+                resp = ex.execute({**req, "trace": False})
+                assert resp["status"] == "ok", resp
+                assert "trace" not in resp["row"]
+            stats = ex.hierarchies.stats()
+            assert stats["builds"] == 1
+            assert stats["embeddings"] == 1
+        finally:
+            ex.registry.close()
+        _no_own_segments()
+
     def test_request_key_matches_batch_key(self):
         assert request_key(_req()) == ExperimentTask(
             kind="partition", graph="ppa", refinement="fm").key()
@@ -321,21 +379,29 @@ class TestHierarchyReuse:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("order", [
-        (3, 4, 2, 5, 2),  # recorded in a k-way span, replayed in bisections
-        (2, 2, 3, 2, 8),  # recorded in a bisection, replayed in k-way reads
+        # (k per read, how many leading reads skip the trace)
+        ((3, 4, 2, 5, 2), 0),  # recorded in a k-way span, replayed in bisections
+        ((2, 2, 3, 2, 8), 0),  # recorded in a bisection, replayed in k-way reads
+        ((2, 3, 2, 8), 2),  # built and recorded untraced, replayed traced
     ])
     def test_embedding_replays_across_bisection_and_kway(self, order, threads):
         """Spectral bisections and k-way reads share one embedding in
-        either nesting order, and every row equals a reuse-free run's."""
+        either nesting order, traced or not, and every row equals a
+        reuse-free run's (without its trace where none was asked for)."""
         from repro.parallel import tiles
 
+        ks, untraced = order
         ex = ServeExecutor(threads=threads)
         try:
-            for k in order:
-                resp = ex.execute(_req(graph="delaunay24", refinement="spectral", k=k))
+            for i, k in enumerate(ks):
+                trace = i >= untraced
+                resp = ex.execute(_req(graph="delaunay24", refinement="spectral",
+                                       k=k, trace=trace))
                 assert resp["status"] == "ok", resp
                 want = (_bisect_row("delaunay24") if k == 2
                         else _kway_row("delaunay24", k))
+                if not trace:
+                    want = _without_trace(want)
                 assert _canon(resp["row"]) == _canon(want), k
             assert ex.hierarchies.stats()["embeddings"] == 1
         finally:
@@ -877,6 +943,12 @@ class TestServeJournal:
             {**base, "idem": "a", "deadline_ms": 5}
         )
         assert request_digest(base) != request_digest(_req(k=4))
+        # traced and untraced forms of one request share their strikes,
+        # and a digest journaled before requests had a trace flag still
+        # matches after it
+        assert request_digest(_req(trace=True)) == request_digest(_req(trace=False))
+        old = {k: v for k, v in base.items() if k != "trace"}
+        assert request_digest(protocol.validate_request(old)) == request_digest(old)
 
     def test_poison_tracker_strikes_and_quarantine(self):
         p = PoisonTracker(threshold=2)
