@@ -72,7 +72,7 @@ def task_weight(graph: str, seed: int, sizes: dict) -> int:
 class ExperimentTask:
     """One independent harness run (or timed repetition block thereof)."""
 
-    kind: str  # "coarsen" | "partition"
+    kind: str  # "coarsen" | "partition" | "cluster" (served only)
     graph: str  # corpus graph name
     machine: str = "gpu"
     coarsener: str = "hec"

@@ -13,9 +13,10 @@ more than one task's work**:
   Largest graph first (LPT) scheduling keeps a long-running graph from
   ending up as the lone straggler behind a drained queue.
 * **Session journal + resume.**  Every completed task is appended to an
-  fsynced JSONL journal (key, attempt, scalar row, rollup digest).  A
-  session restarted with the same task set replays completed rows from
-  the journal and only schedules the remainder; the merged results are
+  fsynced JSONL journal (key, attempt, scalar row; every record carries
+  its ``seq`` and a digest, see :class:`Journal`).  A session restarted
+  with the same task set replays completed rows from the journal's valid
+  prefix and only schedules the remainder; the merged results are
   byte-identical to an uninterrupted run because rows are pure functions
   of their configuration.
 * **Retry with quarantine.**  A failed attempt is retried up to
@@ -71,11 +72,12 @@ from .pool import (
 
 __all__ = [
     "JOURNAL_NAME",
+    "Journal",
     "SessionJournal",
     "SessionMismatch",
     "SessionOutcome",
     "backoff_delay",
-    "row_digest",
+    "record_digest",
     "run_session",
 ]
 
@@ -90,14 +92,10 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def row_digest(row: dict) -> str:
-    """Stable 16-hex digest of a result row (trace rollups included).
-
-    Stored beside each journaled row and re-checked on replay, so a
-    torn or bit-rotted journal line can never smuggle a wrong row into
-    a resumed session's results.
-    """
-    return hashlib.sha256(_canonical(row).encode()).hexdigest()[:16]
+def record_digest(record: dict) -> str:
+    """16-hex sha256 of a journal record (excluding its own ``sha`` field)."""
+    body = {k: v for k, v in record.items() if k != "sha"}
+    return hashlib.sha256(_canonical(body).encode()).hexdigest()[:16]
 
 
 def backoff_delay(
@@ -125,40 +123,47 @@ class SessionMismatch(ValueError):
     """The journal in the resume directory belongs to a different task set."""
 
 
-class SessionJournal:
-    """Append-only, fsynced JSONL journal of one experiment session.
+class Journal:
+    """Append-only, digest-verified, per-record-fsynced JSONL journal.
 
-    Each record is one line, written + flushed + ``fsync``'d before the
-    session proceeds, so a SIGKILL at any instant loses at most the
-    record being written — and a torn trailing line is detected (JSON
-    parse failure / missing newline) and truncated away on resume.  The
-    directory entry is fsynced on creation via the PR-1 primitives.
+    Every record is one line stamped with ``seq`` (its index in the
+    file) and ``sha`` (:func:`record_digest`), written + flushed +
+    ``fsync``'d before the writer proceeds, so a SIGKILL at any instant
+    loses at most the record being written.  :meth:`scan` keeps the
+    prefix before the first torn, unparsable, out-of-sequence or
+    digest-failing line, and reopening truncates to it.  The directory
+    entry is fsynced on creation (:func:`repro.cache.atomic.fsync_dir`).
 
-    A journal-write failure (disk full) does not kill the session: the
-    journal disarms itself, the degradation is recorded, and the run
-    continues without resume coverage.
+    A write failure (disk full) does not kill the writer: the journal
+    disarms itself and warns, and the run continues without crash
+    coverage.  Subclasses bind the file name and the fault site.
     """
 
-    def __init__(self, directory, *, durable: bool = True):
+    #: file name under the journal's directory
+    NAME: str
+
+    def __init__(self, directory):
         self.dir = Path(directory)
-        self.path = self.dir / JOURNAL_NAME
-        self.durable = durable
+        self.path = self.dir / self.NAME
         self._fh = None
         self.seq = 0
         self.disabled = False
         self.write_failures = 0
 
+    def fire(self, **labels) -> None:
+        """Fire this journal's fault site; runs before every write."""
+        raise NotImplementedError
+
     @staticmethod
     def scan(path) -> tuple[list[dict], int]:
         """Parse a journal; returns ``(records, valid_byte_length)``.
 
-        Replay stops at the first torn or unparsable line; everything
-        before it is intact (each line was fsynced before the next was
-        written).
+        Everything before the first bad line was fsynced before the next
+        was written, so the valid prefix is the exact pre-crash state.
         """
         try:
             blob = Path(path).read_bytes()
-        except (FileNotFoundError, OSError):
+        except OSError:
             return [], 0
         records: list[dict] = []
         valid = 0
@@ -169,18 +174,23 @@ class SessionJournal:
                 rec = json.loads(raw)
             except ValueError:
                 break
-            if not isinstance(rec, dict):
+            if (
+                not isinstance(rec, dict)
+                or rec.get("seq") != len(records)
+                or rec.get("sha") != record_digest(rec)
+            ):
                 break
             records.append(rec)
             valid += len(raw)
         return records, valid
 
-    def open(self, *, truncate_to: int | None = None) -> None:
+    def open(self, *, truncate_to: int | None = None, seq: int = 0) -> None:
         self.dir.mkdir(parents=True, exist_ok=True)
         fh = open(self.path, "ab")
         if truncate_to is not None:
             fh.truncate(truncate_to)
         self._fh = fh
+        self.seq = seq
         fsync_dir(self.dir)
 
     def append(self, record: dict) -> bool:
@@ -189,19 +199,17 @@ class SessionJournal:
             return False
         record = {"seq": self.seq, **record}
         try:
-            faultinject.fire(
-                "journal.write", type=record.get("type", ""), seq=self.seq
-            )
+            self.fire(type=record.get("type", ""), seq=self.seq)
+            record["sha"] = record_digest(record)
             self._fh.write((_canonical(record) + "\n").encode())
             self._fh.flush()
-            if self.durable:
-                os.fsync(self._fh.fileno())
+            os.fsync(self._fh.fileno())
         except OSError as e:
             self.disabled = True
             self.write_failures += 1
             warnings.warn(
-                f"journal write failed ({e}); the session continues but this "
-                "run can no longer be resumed",
+                f"journal write failed ({e}) on {self.path}; work continues, "
+                "but this run can no longer be resumed or crash-recovered",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -216,6 +224,15 @@ class SessionJournal:
             except OSError:  # pragma: no cover
                 pass
             self._fh = None
+
+
+class SessionJournal(Journal):
+    """The journal of one experiment session (``--resume DIR``)."""
+
+    NAME = JOURNAL_NAME
+
+    def fire(self, **labels) -> None:
+        faultinject.fire("journal.write", **labels)
 
 
 @dataclass
@@ -377,7 +394,7 @@ class _SessionState:
         self.busy_s += out["wall_s"]
         self.journal_append(
             {"type": "done", "key": key, "attempt": out.get("attempt", 0),
-             "digest": row_digest(row), "row": row}
+             "row": row}
         )
 
     def failure(self, idx: int, attempt: int, kind: str, message: str,
@@ -652,6 +669,14 @@ def run_session(
     if journal is not None:
         fp = fingerprint_payload({"schema": JOURNAL_SCHEMA, "keys": keys})
         records, valid = SessionJournal.scan(journal.path)
+        if journal.path.is_file() and journal.path.stat().st_size > valid:
+            warnings.warn(
+                f"journal at {journal.path}: record {len(records)} is torn, out "
+                "of sequence or fails its digest; it and every later record "
+                "are dropped, and any task they finished runs again",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         if records:
             head = records[0]
             if head.get("type") != "session" or head.get("tasks_fp") != fp:
@@ -659,21 +684,13 @@ def run_session(
                     f"journal at {journal.path} was written by a different "
                     f"task set (fingerprint {head.get('tasks_fp')!r} != {fp!r})"
                 )
-            journal.open(truncate_to=valid)
-            journal.seq = len(records)
+            journal.open(truncate_to=valid, seq=len(records))
             key_set = set(keys)
             for rec in records[1:]:
                 if rec.get("type") != "done":
                     continue
                 key, row = rec.get("key"), rec.get("row")
                 if key not in key_set or not isinstance(row, dict):
-                    continue
-                if row_digest(row) != rec.get("digest"):
-                    warnings.warn(
-                        f"journal row for {key!r} fails its digest; re-running",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
                     continue
                 if key not in state.by_key:
                     state.resumed += 1

@@ -12,11 +12,12 @@ alive between analyses.  This package is that something:
 * :mod:`repro.serve.executor` — request → harness run → response row,
   byte-identical to the batch CLI, every request in this process;
 * :mod:`repro.serve.server` — the daemon: accept loop, bounded
-  admission queue, dispatcher batching, graceful SIGTERM drain and the
-  journal/socket cleanup ladder;
+  admission queue, a dispatcher that runs one request at a time,
+  graceful SIGTERM drain and the journal/socket cleanup ladder;
 * :mod:`repro.serve.client` — a blocking client with optional retries
   (deterministic backoff, reconnect-on-EOF, deadline propagation);
-* :mod:`repro.serve.journal` — the durable state journal + warm-restart
+* :mod:`repro.serve.journal` — the durable state journal
+  (``state.jsonl``, the one file ``--log-dir`` holds) + warm-restart
   recovery behind ``serve --recover DIR``;
 * :mod:`repro.serve.loadtest` — the p50/p99 + hit-rate harness behind
   ``BENCH_serving.json``.

@@ -41,7 +41,6 @@ def _cmd_serve(args) -> int:
     config = ServerConfig(
         socket_path=str(args.socket),
         queue_max=args.queue_max,
-        batch_max=args.batch_max,
         threads=resolve_threads(args.threads),
         max_graphs=args.max_graphs,
         max_hierarchies=args.max_hierarchies,
@@ -53,8 +52,7 @@ def _cmd_serve(args) -> int:
     )
     server = Server(config)
     print(f"serving on {config.socket_path} "
-          f"(queue {config.queue_max}, batch {config.batch_max}, "
-          f"threads {config.threads}"
+          f"(queue {config.queue_max}, threads {config.threads}"
           + (", recovering" if config.recover else "") + "); "
           "SIGTERM drains and exits", flush=True)
     return server.serve_forever()
@@ -72,7 +70,6 @@ def _cmd_supervise(args) -> int:
         "--socket", str(args.socket),
         "--log-dir", str(args.log_dir),
         "--queue-max", str(args.queue_max),
-        "--batch-max", str(args.batch_max),
         "--max-graphs", str(args.max_graphs),
         "--max-hierarchies", str(args.max_hierarchies),
         "--drain-timeout", str(args.drain_timeout),
@@ -197,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--queue-max", type=int, default=64,
                        help="admission bound: queued requests beyond this get "
                             "a typed REJECTED response (default 64)")
-        p.add_argument("--batch-max", type=int, default=8,
-                       help="dispatcher batch width (default 8)")
         p.add_argument("--threads", type=int, default=None,
                        help="tile-parallel threads inside each run (default: "
                             "REPRO_THREADS or 1; 0 = every usable core); "
@@ -211,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--drain-timeout", type=float, default=10.0,
                        help="seconds SIGTERM waits for queued work (default 10)")
         p.add_argument("--log-dir", type=Path, default=None,
-                       help="request + durable state journal directory")
+                       help="directory of the durable state journal "
+                            "(state.jsonl)")
         p.add_argument("--recover", type=Path, default=None, metavar="DIR",
                        help="warm-restart from the state journal in DIR "
                             "(implies --log-dir DIR): tenants reload, cached "

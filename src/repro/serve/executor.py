@@ -40,26 +40,17 @@ MAX_IDEM_ENTRIES = 1024
 
 
 def request_key(req: dict) -> str:
-    """The batch task key a request corresponds to, where one exists."""
+    """A read's batch task key (k-way reads refine with ``greedy-k{k}``),
+    or the tenant an ``update_graph`` applies to."""
     if req["op"] == "update_graph":
         return f"update_graph:{req['graph']}:s{req['seed']}"
-    if req["op"] == "coarsen":
-        return ExperimentTask(
-            kind="coarsen", graph=req["graph"], machine=req["machine"],
-            coarsener=req["coarsener"], constructor=req["constructor"],
-            seed=req["seed"], oom=req["oom"],
-        ).key()
-    if req["op"] == "partition" and req["k"] == 2:
-        return ExperimentTask(
-            kind="partition", graph=req["graph"], machine=req["machine"],
-            coarsener=req["coarsener"], constructor=req["constructor"],
-            refinement=req["refinement"], seed=req["seed"], oom=req["oom"],
-        ).key()
-    parts = [req["op"], req["machine"], req["coarsener"], req["constructor"]]
-    if req["op"] == "partition":
-        parts.append(f"greedy-k{req['k']}")
-    parts += [req["graph"], f"s{req['seed']}"]
-    return ":".join(parts)
+    kway = req["op"] == "partition" and req["k"] != 2
+    return ExperimentTask(
+        kind=req["op"], graph=req["graph"], machine=req["machine"],
+        coarsener=req["coarsener"], constructor=req["constructor"],
+        refinement=f"greedy-k{req['k']}" if kway else req["refinement"],
+        seed=req["seed"], oom=req["oom"],
+    ).key()
 
 
 class ServeExecutor:
@@ -337,11 +328,12 @@ class ServeExecutor:
     # ------------------------------------------------------------- batch
 
     def execute_batch(
-        self, requests: list[dict], deadlines: list[float | None] | None = None
+        self, requests: list[dict], deadlines: list[float | None]
     ) -> list[dict]:
-        """Execute a dispatcher batch in order; responses in request order."""
-        if deadlines is None:
-            deadlines = [None] * len(requests)
+        """Execute requests in order; responses in request order.
+
+        The dispatcher's call, on one request at a time.
+        """
         return [
             self.execute(req, deadline=deadline)
             for req, deadline in zip(requests, deadlines)

@@ -1,14 +1,12 @@
 """Durable serving-state journal + crash recovery for the daemon.
 
-The request journal (:class:`repro.parallel.session.SessionJournal`,
-``journal.jsonl``) is an *observability* log: non-durable, torn-tail
-tolerant, useful for forensics.  This module adds the **state** journal
-(``state.jsonl``) — the record of everything the daemon would otherwise
-lose to a SIGKILL:
+The state journal (``state.jsonl`` under ``--log-dir``) is the record
+of everything the daemon would otherwise lose to a SIGKILL, and the
+only file the daemon writes there:
 
 * ``tenant`` / ``tenant-drop`` — registry residency (a tenant is a
-  ``(graph, seed)`` pair; the cold tier — the PR-1 artifact cache —
-  still holds the pristine graph, so residency is all that must be
+  ``(graph, seed)`` pair; the cold tier — the artifact cache — still
+  holds the pristine graph, so residency is all that must be
   remembered);
 * ``hierarchy`` / ``hierarchy-drop`` — hierarchy-cache keys with the
   sha of their recorded effect tape.  Hierarchies are deterministic
@@ -28,24 +26,23 @@ lose to a SIGKILL:
   it as a strike against the request's digest, and repeat offenders are
   quarantined (typed error, tenant stays live).
 
-Every record is one JSONL line carrying its own sha256 digest, written
-+ flushed + fsynced before the daemon acts on it; :meth:`ServeJournal.scan`
-verifies digests and truncates the torn tail exactly like the session
-journal.  ``serve --recover DIR`` replays the valid prefix in order
-through :func:`recover_executor` and continues appending to the same
-file, so recovery is idempotent across any number of crashes.
+:class:`ServeJournal` is the batch session's journal
+(:class:`repro.parallel.session.Journal`) under another file name and
+fault site: every record carries its ``seq`` and digest and is fsynced
+before the daemon acts on it, and the scan keeps the prefix before the
+first torn, out-of-sequence or digest-failing line.  ``serve --recover
+DIR`` replays that prefix in order through :func:`recover_executor`
+and continues appending to the same file, so recovery is idempotent
+across any number of crashes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import warnings
 from pathlib import Path
 
 from .. import faultinject
-from ..cache.atomic import fsync_dir
+from ..parallel.session import Journal, _canonical, record_digest
 
 __all__ = [
     "STATE_NAME",
@@ -58,17 +55,6 @@ __all__ = [
 ]
 
 STATE_NAME = "state.jsonl"
-STATE_SCHEMA = 1
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def record_digest(record: dict) -> str:
-    """16-hex sha256 of a record (excluding its own ``sha`` field)."""
-    body = {k: v for k, v in record.items() if k != "sha"}
-    return hashlib.sha256(_canonical(body).encode()).hexdigest()[:16]
 
 
 def request_digest(req: dict) -> str:
@@ -108,94 +94,18 @@ def tape_digest(tape) -> str:
     return hashlib.sha256(_canonical(doc).encode()).hexdigest()[:16]
 
 
-class ServeJournal:
-    """Append-only, digest-verified, per-record-fsynced state journal.
+class ServeJournal(Journal):
+    """The daemon's state journal (``--log-dir DIR``).
 
-    Unlike the request journal every record here is durable: the daemon
-    never acts on (or acks) state it could not recover.  A write failure
-    (disk full) disarms the journal and is warned about — the daemon
-    keeps serving, it just loses crash coverage, the same degradation
-    contract as the session journal.
+    The daemon never acts on (or acks) state it could not recover.  A
+    write failure (disk full) disarms the journal and is warned about:
+    the daemon keeps serving, it just loses crash coverage.
     """
 
-    def __init__(self, directory):
-        self.dir = Path(directory)
-        self.path = self.dir / STATE_NAME
-        self._fh = None
-        self.seq = 0
-        self.disabled = False
-        self.write_failures = 0
+    NAME = STATE_NAME
 
-    @staticmethod
-    def scan(path) -> tuple[list[dict], int]:
-        """Parse a state journal: ``(records, valid_byte_length)``.
-
-        Stops at the first torn line (no trailing newline), unparsable
-        line, or digest mismatch — everything before it was fsynced
-        before the next record was written, so the valid prefix is the
-        exact pre-crash state.
-        """
-        try:
-            blob = Path(path).read_bytes()
-        except (FileNotFoundError, OSError):
-            return [], 0
-        records: list[dict] = []
-        valid = 0
-        for raw in blob.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break
-            try:
-                rec = json.loads(raw)
-            except ValueError:
-                break
-            if not isinstance(rec, dict) or rec.get("sha") != record_digest(rec):
-                break
-            records.append(rec)
-            valid += len(raw)
-        return records, valid
-
-    def open(self, *, truncate_to: int | None = None, seq: int = 0) -> None:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        fh = open(self.path, "ab")
-        if truncate_to is not None:
-            fh.truncate(truncate_to)
-        self._fh = fh
-        self.seq = seq
-        fsync_dir(self.dir)
-
-    def append(self, record: dict) -> bool:
-        """Durably append one record; False when journaling is degraded."""
-        if self.disabled or self._fh is None:
-            return False
-        record = {"seq": self.seq, **record}
-        try:
-            faultinject.fire(
-                "serve.journal", type=record.get("type", ""), seq=self.seq
-            )
-            record["sha"] = record_digest(record)
-            self._fh.write((_canonical(record) + "\n").encode())
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except OSError as e:
-            self.disabled = True
-            self.write_failures += 1
-            warnings.warn(
-                f"state journal write failed ({e}); the daemon keeps serving "
-                "but this run can no longer be crash-recovered",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return False
-        self.seq += 1
-        return True
-
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._fh = None
+    def fire(self, **labels) -> None:
+        faultinject.fire("serve.journal", **labels)
 
 
 class PoisonTracker:
@@ -252,12 +162,10 @@ def recover_executor(executor, directory, *, strict: bool = False) -> dict:
 
     records, valid = ServeJournal.scan(Path(directory) / STATE_NAME)
     summary = {
-        "records": len(records), "valid_bytes": valid, "next_seq": 0,
+        "records": len(records), "valid_bytes": valid, "next_seq": len(records),
         "tenants": 0, "hierarchies": 0, "updates": 0,
         "skipped": 0, "mismatches": [], "poison_strikes": [],
     }
-    if records:
-        summary["next_seq"] = records[-1].get("seq", len(records) - 1) + 1
     # liveness pre-pass: a hierarchy that was later dropped and never
     # rebuilt costs a full coarsen to recover and influences nothing —
     # skip it (survivor LRU order is insertion order either way)
@@ -272,7 +180,7 @@ def recover_executor(executor, directory, *, strict: bool = False) -> dict:
     try:
         for rec in records:
             rtype = rec.get("type")
-            faultinject.fire("serve.recover", type=rtype, seq=rec.get("seq", -1))
+            faultinject.fire("serve.recover", type=rtype, seq=rec["seq"])
             if rtype == "tenant":
                 executor.registry.graph(rec["graph"], rec["seed"])
                 summary["tenants"] += 1

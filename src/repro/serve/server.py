@@ -7,8 +7,9 @@ Thread layout (all daemon threads except the caller of
   thread via ``start()``) polls the unix listening socket;
 * one **reader per connection** parses frames, answers ``ping`` /
   ``status`` inline, and pushes everything else through admission;
-* one **dispatcher** drains the bounded queue in batches of up to
-  ``batch_max`` and executes them (``ServeExecutor.execute_batch``).
+* one **dispatcher** takes one request at a time off the bounded
+  queue and executes it (``ServeExecutor.execute_batch`` on a
+  one-request list), so each reply leaves as soon as it exists.
 
 **Admission control** is the bounded queue: when it is full the reader
 immediately sends the typed ``rejected`` response (reason
@@ -19,7 +20,7 @@ answer, never a dropped connection.
 **Shutdown** (SIGTERM/SIGINT or ``stop()``) runs the full ladder with a
 drain deadline: stop admitting, let the dispatcher finish what is
 queued for up to ``drain_timeout`` seconds, reject whatever remains,
-then close the journals and unlink the socket.  Tenants live only as
+then close the state journal and unlink the socket.  Tenants live only as
 in-process arrays, so the daemon creates no shared-memory segment and
 even a SIGKILL leaves none behind.
 """
@@ -35,8 +36,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..parallel.session import SessionJournal
-from .executor import ServeExecutor, request_key
+from .executor import ServeExecutor
 from .journal import ServeJournal, recover_executor
 from .protocol import (
     FrameTimeout,
@@ -56,8 +56,6 @@ class ServerConfig:
     socket_path: str = "repro-serve.sock"
     #: admission bound: queued (not yet dispatched) requests
     queue_max: int = 64
-    #: dispatcher batch width
-    batch_max: int = 8
     #: tile-parallel threads inside each run (repro.parallel.tiles)
     threads: int = 1
     #: resident graph tenants (LRU bound; updated tenants are pinned)
@@ -66,7 +64,7 @@ class ServerConfig:
     max_hierarchies: int = 32
     #: seconds SIGTERM waits for queued work before rejecting the rest
     drain_timeout: float = 10.0
-    #: directory for the append-only request journal (None = no journal)
+    #: directory of the durable state journal (None = no journal)
     log_dir: str | None = None
     #: once a frame starts arriving it must complete within this many
     #: seconds or the connection fails with a typed FrameTimeout error
@@ -115,8 +113,6 @@ class Server:
         self._threads: list[threading.Thread] = []
         self._conns: set = set()
         self._conns_lock = threading.Lock()
-        self._journal: SessionJournal | None = None
-        self._journal_lock = threading.Lock()
         self._state_journal: ServeJournal | None = None
         self.recovery: dict | None = None
         self.executor.poison.threshold = max(1, self.config.poison_threshold)
@@ -165,16 +161,6 @@ class Server:
         sock.listen(16)
         sock.settimeout(0.2)
         self._sock = sock
-        if self.config.log_dir is not None:
-            # journal without fsync-per-record: request logging must not
-            # bottleneck the loadtest; a torn tail is detected on scan
-            self._journal = SessionJournal(self.config.log_dir, durable=False)
-            self._journal.open()
-            self._journal.append(
-                {"type": "serve-start", "pid": os.getpid(),
-                 "socket": str(path),
-                 "recovered": self.recovery is not None}
-            )
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT → graceful drain (only from the main thread)."""
@@ -311,50 +297,28 @@ class Server:
     def _dispatch_loop(self) -> None:
         while True:
             try:
-                first = self._queue.get(timeout=0.1)
+                pending = self._queue.get(timeout=0.1)
             except queue.Empty:
                 if self._stopping.is_set():
                     break
                 continue
-            batch = [first]
-            while len(batch) < self.config.batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
             with self._inflight_lock:
-                self._inflight += len(batch)
+                self._inflight += 1
             try:
-                responses = self.executor.execute_batch(
-                    [p.request for p in batch],
-                    deadlines=[p.deadline for p in batch],
+                (response,) = self.executor.execute_batch(
+                    [pending.request], deadlines=[pending.deadline]
                 )
             except Exception as e:  # noqa: BLE001 - keep the daemon alive
-                responses = [
-                    error_response(str(e) or type(e).__name__, kind=type(e).__name__)
-                    for _ in batch
-                ]
-            for pending, response in zip(batch, responses):
-                if response.get("kind") == "DeadlineExceeded":
-                    self.counters["deadline_exceeded"] += 1
-                self._log_served(pending.request, response)
-                pending.resolve(response)
-                self.counters["completed"] += 1
+                response = error_response(
+                    str(e) or type(e).__name__, kind=type(e).__name__
+                )
+            if response.get("kind") == "DeadlineExceeded":
+                self.counters["deadline_exceeded"] += 1
+            pending.resolve(response)
+            self.counters["completed"] += 1
             with self._inflight_lock:
-                self._inflight -= len(batch)
+                self._inflight -= 1
         self._drained.set()
-
-    def _log_served(self, req: dict, response: dict) -> None:
-        if self._journal is None:
-            return
-        record = {
-            "type": "served", "op": req.get("op"),
-            "status": response.get("status"),
-        }
-        if req.get("op") not in ("ping", "status"):
-            record["key"] = request_key(req)
-        with self._journal_lock:
-            self._journal.append(record)
 
     # ---------------------------------------------------------- shutdown
 
@@ -398,14 +362,8 @@ class Server:
                 conn.close()
             except OSError:
                 pass
-        # 4. journals: final record, then close (state journal too — a
-        #    clean SIGTERM exit leaves a scannable, digest-valid file)
-        if self._journal is not None:
-            with self._journal_lock:
-                self._journal.append(
-                    {"type": "serve-end", **{k: v for k, v in self.counters.items()}}
-                )
-                self._journal.close()
+        # 4. close the state journal: a clean SIGTERM exit leaves a
+        #    scannable, digest-valid file
         if self._state_journal is not None:
             self._state_journal.close()
         # 5. the socket path itself

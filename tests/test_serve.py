@@ -30,7 +30,6 @@ from repro.coarsen import multilevel as ml
 from repro.generators import corpus
 from repro.parallel import shm as shm_lifecycle
 from repro.parallel.pool import ExperimentTask, _execute, row_from_result
-from repro.parallel.session import SessionJournal
 from repro.partition import multilevel as pml
 from repro.serve import (
     FrameTimeout,
@@ -337,8 +336,16 @@ class TestServeExecutor:
             kind="partition", graph="ppa", refinement="fm").key()
         assert request_key(_req(op="coarsen")) == ExperimentTask(
             kind="coarsen", graph="ppa").key()
-        assert request_key(_req(k=8)) == "partition:gpu:hec:sort:greedy-k8:ppa:s0"
-        assert request_key(_req(op="cluster")) == "cluster:gpu:hec:sort:ppa:s0"
+        keys = {
+            "coarsen:gpu:hec:sort:ppa:s0": _req(op="coarsen"),
+            "partition:gpu:hec:sort:fm:ppa:s0": _req(),
+            "partition:gpu:hec:sort:greedy-k8:ppa:s0": _req(k=8),
+            "cluster:gpu:hec:sort:ppa:s0": _req(op="cluster"),
+            "update_graph:ppa:s0": {"op": "update_graph", "graph": "ppa",
+                                    "seed": 0, "add": [], "remove": []},
+        }
+        for key, req in keys.items():
+            assert request_key(req) == key
 
 
 class TestHierarchyReuse:
@@ -644,7 +651,7 @@ class TestServer:
 
     def test_admission_rejects_when_queue_full(self, tmp_path):
         srv = Server(ServerConfig(socket_path=str(tmp_path / "adm.sock"),
-                                  queue_max=1, batch_max=1, drain_timeout=8.0))
+                                  queue_max=1, drain_timeout=8.0))
         # first request hangs in the dispatcher; the second fills the
         # queue; everything after that must get the typed rejection
         faultinject.install("serve.exec:hang:sleep=1.5,times=1")
@@ -753,14 +760,17 @@ class TestDaemonProcess:
             leaked = [s for s in shm_lifecycle.list_segments()
                       if s["pid"] == pid]
             assert leaked == [], leaked
-            # journal: started, served the request, then a final record
-            records, _ = SessionJournal.scan(tmp_path / "log" / "journal.jsonl")
-            types = [r["type"] for r in records]
-            assert types[0] == "serve-start"
-            assert "served" in types
-            assert types[-1] == "serve-end"
-            served = [r for r in records if r["type"] == "served"]
-            assert served[0]["key"] == "partition:gpu:hec:sort:fm:ppa:s0"
+            # the log dir holds only the state journal, whole, with the
+            # served request's poison bracket closed
+            log = tmp_path / "log"
+            assert sorted(p.name for p in log.iterdir()) == [STATE_NAME]
+            records, valid = ServeJournal.scan(log / STATE_NAME)
+            assert valid == (log / STATE_NAME).stat().st_size
+            (begin,) = [r for r in records if r["type"] == "exec-begin"]
+            assert begin["op"] == "partition"
+            assert begin["digest"] == request_digest(_req())
+            (end,) = [r for r in records if r["type"] == "exec-end"]
+            assert end["digest"] == begin["digest"]
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -915,6 +925,36 @@ class TestServeJournal:
         assert len(records) == 1
         assert valid == len(lines[0])
 
+    def test_seq_gap_stops_the_scan_and_recovery(self, tmp_path):
+        j = ServeJournal(tmp_path)
+        j.open()
+        for seed in range(3):
+            j.append({"type": "tenant", "graph": "ppa", "seed": seed})
+        j.close()
+        path = tmp_path / STATE_NAME
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + lines[2])  # seq 0, then seq 2
+        records, valid = ServeJournal.scan(path)
+        assert [r["seq"] for r in records] == [0]
+        assert valid == len(lines[0])
+        # --recover replays only that prefix, truncates the rest and
+        # continues the sequence after it
+        srv = Server(ServerConfig(socket_path=str(tmp_path / "gap.sock"),
+                                  log_dir=str(tmp_path), recover=True))
+        srv.start()
+        try:
+            assert srv.recovery["records"] == 1
+            assert srv.recovery["tenants"] == 1
+            assert srv.recovery["next_seq"] == 1
+            assert [(g["graph"], g["seed"])
+                    for g in srv.executor.registry.resident()] == [("ppa", 0)]
+        finally:
+            srv.stop()
+        records, valid = ServeJournal.scan(path)
+        assert [(r["seq"], r["type"]) for r in records] == [
+            (0, "tenant"), (1, "recovered")]
+        assert valid == path.stat().st_size
+
     def test_write_failure_degrades_not_crashes(self, tmp_path, monkeypatch):
         j = ServeJournal(tmp_path)
         j.open()
@@ -923,7 +963,7 @@ class TestServeJournal:
         def boom(fd):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr("repro.serve.journal.os.fsync", boom)
+        monkeypatch.setattr("repro.parallel.session.os.fsync", boom)
         with pytest.warns(RuntimeWarning, match="crash-recovered"):
             assert not j.append({"type": "tenant", "graph": "x", "seed": 0})
         assert j.disabled
@@ -1250,7 +1290,7 @@ class TestDeadlines:
         deadline lapses while an earlier request hogs the dispatcher is
         answered DeadlineExceeded, never executed."""
         srv = Server(ServerConfig(socket_path=str(tmp_path / "dl.sock"),
-                                  batch_max=1, drain_timeout=8.0))
+                                  drain_timeout=8.0))
         faultinject.install("serve.exec:hang:sleep=1.5,times=1")
         srv.start()
         wait_for_server(srv.config.socket_path, timeout=10.0)

@@ -23,7 +23,7 @@ from repro.parallel.session import (
     SessionJournal,
     SessionMismatch,
     backoff_delay,
-    row_digest,
+    record_digest,
     run_session,
 )
 
@@ -85,6 +85,9 @@ class TestJournal:
         assert [r["type"] for r in records] == ["session", "done"]
         assert records[1]["row"] == {"x": 1.5}
         assert valid == j.path.stat().st_size
+        for i, r in enumerate(records):
+            assert r["seq"] == i
+            assert r["sha"] == record_digest(r)
 
     def test_torn_tail_detected_and_truncated(self, tmp_path):
         j = SessionJournal(tmp_path)
@@ -103,10 +106,13 @@ class TestJournal:
     def test_scan_missing_file(self, tmp_path):
         assert SessionJournal.scan(tmp_path / "nope.jsonl") == ([], 0)
 
-    def test_row_digest_stable_across_json_round_trip(self):
+    def test_record_digest_stable_across_json_round_trip(self):
         row = {"graph": "ppa", "total_s": 0.123456789e-3, "levels": 2}
-        replayed = json.loads(json.dumps(row))
-        assert row_digest(row) == row_digest(replayed)
+        record = {"seq": 1, "type": "done", "key": "k", "row": row}
+        record["sha"] = record_digest(record)
+        replayed = json.loads(json.dumps(record))
+        assert record_digest(record) == record_digest(replayed)
+        assert replayed["sha"] == record_digest(replayed)
 
 
 # ------------------------------------------------- resume & retry (task_fn)
@@ -203,7 +209,9 @@ class TestResume:
         first = run_session(TASKS, jobs=1, task_fn=_marked_task, session_dir=sess)
         with open(sess / "journal.jsonl", "ab") as fh:
             fh.write(b'{"half a reco')
-        out = run_session(TASKS, jobs=1, task_fn=_marked_task, session_dir=sess)
+        with pytest.warns(RuntimeWarning, match="is torn"):
+            out = run_session(TASKS, jobs=1, task_fn=_marked_task,
+                              session_dir=sess)
         assert _rows_key(out.results) == _rows_key(first.results)
 
 
