@@ -38,18 +38,9 @@ from ..coarsen.incremental import COST_RATIO_GATE, QUALITY_TOL, patch_hierarchy
 from ..coarsen.multilevel import coarsen_multilevel
 from ..csr.update import apply_edges
 from ..partition.multilevel import multilevel_bisect
+from .harness import space_for
 
 __all__ = ["run_update_stream", "add_update_stream_args", "cmd_update_stream"]
-
-
-def _space(machine: str, seed: int):
-    from .harness import space_for
-
-    return space_for(machine, seed)
-
-
-def _ledger_seconds(space) -> float:
-    return space.machine.ledger_seconds(space.ledger)
 
 
 def _py(obj):
@@ -95,9 +86,9 @@ def run_update_stream(
     g, _spec = load(graph, seed)
     rng = np.random.default_rng([seed, g.n, batch_edges])
 
-    sp0 = _space(machine, seed)
+    sp0 = space_for(machine, seed)
     hierarchy = coarsen_multilevel(g, sp0)
-    base_cost_s = _ledger_seconds(sp0)
+    base_cost_s = sp0.seconds()
 
     per_batch = []
     cost_patch = cost_full = 0.0
@@ -108,23 +99,23 @@ def run_update_stream(
         add, remove = _make_batch(g, rng, batch_edges)
         g, delta = apply_edges(g, add=add, remove=remove)
 
-        sp_f = _space(machine, seed)
+        sp_f = space_for(machine, seed)
         t0 = time.perf_counter()
         full = coarsen_multilevel(g, sp_f)
         wf = time.perf_counter() - t0
-        cf = _ledger_seconds(sp_f)
+        cf = sp_f.seconds()
 
-        sp_p = _space(machine, seed)
+        sp_p = space_for(machine, seed)
         t0 = time.perf_counter()
         patched = patch_hierarchy(hierarchy, g, delta, sp_p)
         wp = time.perf_counter() - t0
-        cp = _ledger_seconds(sp_p)
+        cp = sp_p.seconds()
 
         res_f = multilevel_bisect(
-            g, _space(machine, seed), refinement=refinement, hierarchy=full
+            g, space_for(machine, seed), refinement=refinement, hierarchy=full
         )
         res_p = multilevel_bisect(
-            g, _space(machine, seed), refinement=refinement, hierarchy=patched
+            g, space_for(machine, seed), refinement=refinement, hierarchy=patched
         )
         cut_rel = abs(res_p.cut - res_f.cut) / max(res_f.cut, 1e-12)
         imb_abs = abs(res_p.stats["imbalance"] - res_f.stats["imbalance"])

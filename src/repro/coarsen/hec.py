@@ -40,6 +40,7 @@ __all__ = [
     "hec_serial",
     "hec_parallel",
     "hec_parallel_reference",
+    "wave_race",
     "classify_heavy_edges",
 ]
 
@@ -153,16 +154,41 @@ def hec_parallel(g: CSRGraph, space: ExecSpace) -> CoarseMapping:
     h = heavy_neighbors(g, space)
 
     st = ClaimState(n)
-    queue = perm
-    passes = 0
-    resolved_per_pass: list[int] = []
-
     # Isolated vertices (possible on disconnected inputs) become
     # singleton aggregates up front; Algorithm 3 assumes connectivity.
-    if (h == UNMAPPED).any():
-        st.assign_singletons(np.flatnonzero(h == UNMAPPED))
-        queue = queue[h[queue] >= 0]
+    iso = h == UNMAPPED
+    if iso.any():
+        st.assign_singletons(np.flatnonzero(iso))
+        perm = perm[~iso[perm]]
+    # two launches per pass: the pass kernel + queue compaction
+    passes, resolved_per_pass = wave_race(st, perm, h[perm], space, launches=2)
 
+    return CoarseMapping(
+        st.m,
+        st.n_c,
+        {
+            "algorithm": "hec",
+            "passes": passes,
+            "resolved_per_pass": resolved_per_pass,
+        },
+    )
+
+
+def wave_race(
+    st: ClaimState, queue: np.ndarray, hq: np.ndarray, space: ExecSpace, launches: int
+) -> tuple[int, list[int]]:
+    """Algorithm 4's pass loop: race ``queue`` lanes at their targets ``hq``.
+
+    Each pass resolves the queue wave by wave through
+    :meth:`ClaimState.resolve_wave`, charges one pass at ``launches``
+    kernel launches, and compacts the queue (``hq`` stays aligned with
+    it) to the lanes that released; past 200 passes the rest become
+    singletons.  Returns ``(passes, resolved_per_pass)``.  Shared by
+    :func:`hec_parallel` and the frontier re-match of
+    :func:`repro.coarsen.incremental.patch_hierarchy`.
+    """
+    passes = 0
+    resolved_per_pass: list[int] = []
     while len(queue):
         passes += 1
         if passes > 200:  # pathological-input guard; never hit in practice
@@ -172,7 +198,7 @@ def hec_parallel(g: CSRGraph, space: ExecSpace) -> CoarseMapping:
         atomics = 0
         for start, stop in space.wave_bounds(len(queue)):
             u = queue[start:stop]
-            creates, inherits, skips = st.resolve_wave(u, h[u], inherit=True)
+            creates, inherits, skips = st.resolve_wave(u, hq[start:stop], inherit=True)
             resolved += 2 * creates + inherits
             atomics += 2 * (len(u) - skips)  # skipped lanes never CAS
         lanes = len(queue)
@@ -184,21 +210,13 @@ def hec_parallel(g: CSRGraph, space: ExecSpace) -> CoarseMapping:
                 stream_bytes=4.0 * _B * lanes,
                 random_bytes=32.0 * _B * lanes,
                 atomic_ops=float(atomics),
-                launches=2,  # pass kernel + queue compaction
+                launches=launches,
             ),
         )
         resolved_per_pass.append(resolved)
-        queue = st.unresolved(queue)
-
-    return CoarseMapping(
-        st.m,
-        st.n_c,
-        {
-            "algorithm": "hec",
-            "passes": passes,
-            "resolved_per_pass": resolved_per_pass,
-        },
-    )
+        still = st.m[queue] == UNMAPPED
+        queue, hq = queue[still], hq[still]
+    return passes, resolved_per_pass
 
 
 def hec_parallel_reference(g: CSRGraph, space: ExecSpace) -> CoarseMapping:

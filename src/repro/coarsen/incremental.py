@@ -22,27 +22,28 @@ frontier
 pinned re-matching with stable ids
     Surviving aggregates are *pinned* at their exact old ids into a
     pre-claimed :class:`~repro.parallel.wavekernels.ClaimState`; only
-    the frontier runs the HEC wave race (same serialized-CAS semantics,
-    same per-pass ledger formulas, lane counts scaled to the frontier).
-    Frontier lanes may inherit into pinned aggregates — their writes
-    are visible from wave start — or create fresh ones, numbered above
-    the old id range.  After the race, each created aggregate recycles
-    a retired id by member majority vote, so a re-match that reproduces
-    the old grouping reproduces the old *ids* and the delta dies
-    instead of cascading; when the aggregate count shrinks, the used
-    ids at the top of the range slide down into the remaining holes.
+    the frontier runs the build's HEC wave race
+    (:func:`~repro.coarsen.hec.wave_race`, lane counts scaled to the
+    frontier).  Frontier lanes may inherit into pinned aggregates —
+    their writes are visible from wave start — or create fresh ones,
+    numbered above the old id range.  After the race, each created
+    aggregate recycles a retired id by member majority vote, so a
+    re-match that reproduces the old grouping reproduces the old *ids*
+    and the delta dies instead of cascading; when the aggregate count
+    shrinks, the used ids at the top of the range slide down into the
+    remaining holes.
 
 localized construction
     A coarse row can change only if one of its members' rows changed, a
     member joined or left, a member fine-neighbours a *moved* frontier
     vertex, or the row referenced a survivor whose id slid down.  Only
-    those *dirty* rows are rebuilt from fine adjacency (the same
-    sort-dedup merge as the full constructors, at member volume); clean
-    rows are shared byte-for-byte with the old coarse graph — stable
-    ids mean every id a clean row references is unchanged.  The ledger
-    models clean rows as copy-on-write segment reuse: only dirty
-    entries, the row-pointer rebuild, and frontier-scale delta
-    bookkeeping are charged — see DESIGN.md §5h.
+    those *dirty* rows are rebuilt from fine adjacency (the sort
+    constructor's own dedup, at member volume); clean rows are shared
+    byte-for-byte with the old coarse graph — stable ids mean every id
+    a clean row references is unchanged.  The ledger models clean rows
+    as copy-on-write segment reuse: only dirty entries, the row-pointer
+    rebuild, and frontier-scale delta bookkeeping are charged — see
+    DESIGN.md §5h.
 
 level propagation and early exit
     The patched level emits the next level's delta: rows whose rebuilt
@@ -52,7 +53,8 @@ level propagation and early exit
     weight without necessarily changing any adjacency row — vertex
     weights never influence HEC matching, only balance).  When the
     delta dies out entirely, the remaining base levels are adopted
-    verbatim and the patch stops early.
+    verbatim and the patch stops early; when the base levels run out
+    first, the build's own level loop finishes the hierarchy.
 
 Quality is asserted, not assumed: the tolerances the patched hierarchy
 must meet against a from-scratch rebuild are declared here
@@ -65,15 +67,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..csr.graph import CSRGraph
-from ..csr.update import EdgeDelta
+from ..csr.update import EdgeDelta, _member_mask
 from ..parallel.cost import KernelCost
 from ..parallel.execspace import ExecSpace
 from ..parallel.memory import MemoryTracker, mapping_workspace
-from ..parallel.primitives import segment_max_index, stable_key_sort
-from ..parallel.wavekernels import ClaimState, group_ranks, run_starts
+from ..parallel.primitives import segment_max_index
+from ..parallel.wavekernels import ClaimState, group_ranks
 from ..types import COARSEN_CUTOFF, COARSEN_DISCARD, UNMAPPED, VI, WT
 from .base import CoarseMapping
-from .multilevel import MAX_LEVELS, GraphHierarchy
+from .hec import hec_parallel, wave_race
+from .multilevel import MAX_LEVELS, GraphHierarchy, _level_loop
 
 __all__ = ["patch_hierarchy", "QUALITY_TOL", "COST_RATIO_GATE"]
 
@@ -95,26 +98,6 @@ COST_RATIO_GATE = 0.25
 # localized row access
 # ---------------------------------------------------------------------------
 
-def _gather_rows(g: CSRGraph, rows: np.ndarray):
-    """Positions/layout of the concatenated adjacency entries of ``rows``.
-
-    Returns ``(pos, local_xadj, degs, reps, within)``: global entry
-    indices in row-major order, the local row-pointer array over the
-    gathered slice, per-row degrees, the row index (into ``rows``) of
-    each entry, and each entry's offset within its row.
-    """
-    xadj = np.asarray(g.xadj)
-    starts = xadj[rows]
-    degs = (xadj[rows + 1] - starts).astype(np.int64)
-    local = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(degs, out=local[1:])
-    total = int(local[-1])
-    reps = np.repeat(np.arange(len(rows), dtype=np.int64), degs)
-    within = np.arange(total, dtype=np.int64) - local[reps]
-    pos = starts[reps] + within
-    return pos, local, degs, reps, within
-
-
 def _heavy_rows(g: CSRGraph, rows: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Heaviest neighbour of each row in ``rows`` plus (volume, spill).
 
@@ -128,7 +111,7 @@ def _heavy_rows(g: CSRGraph, rows: np.ndarray) -> tuple[np.ndarray, int, float]:
     """
     if len(rows) == 0:
         return np.zeros(0, dtype=VI), 0, 0.0
-    pos, local, degs, _, _ = _gather_rows(g, rows)
+    pos, local, degs, _, _ = g.gather_rows(rows)
     vals = np.asarray(g.ewgts[pos]) if len(pos) else np.zeros(0, dtype=WT)
     idx = segment_max_index(None, vals, local, lengths=degs)
     adj = np.asarray(g.adjncy[pos]) if len(pos) else np.zeros(0, dtype=VI)
@@ -141,15 +124,6 @@ def _heavy_rows(g: CSRGraph, rows: np.ndarray) -> tuple[np.ndarray, int, float]:
     big = degs[degs > 1].astype(np.float64)
     spill = float((big * np.log2(1.0 + big / 1024.0)).sum()) if len(big) else 0.0
     return h, int(len(pos)), spill
-
-
-def _isin_sorted(sorted_vals: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """``probe[i] in sorted_vals`` as a boolean mask."""
-    if len(sorted_vals) == 0:
-        return np.zeros(len(probe), dtype=bool)
-    p = np.searchsorted(sorted_vals, probe)
-    p_c = np.minimum(p, len(sorted_vals) - 1)
-    return (p < len(sorted_vals)) & (sorted_vals[p_c] == probe)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +246,7 @@ def _frontier_match(
     st.n_c = n_c_old
 
     # 4. heavy pointers for the frontier rows not already scanned
-    in_touched = _isin_sorted(touched, frontier)
+    in_touched = _member_mask(touched, frontier)
     h_f = np.empty(len(frontier), dtype=VI)
     if in_touched.any():
         h_f[in_touched] = h_t_new[np.searchsorted(touched, frontier[in_touched])]
@@ -301,10 +275,10 @@ def _frontier_match(
         ),
     )
 
-    # 5. the HEC wave race, frontier lanes only — same serialized-CAS
-    # semantics and per-pass byte formulas as hec_parallel with lane
-    # counts localized; the frontier fits a single persistent block, so
-    # each pass is one launch.
+    # 5. the HEC wave race, frontier lanes only, with lane counts
+    # localized; the frontier fits a single persistent block, so each
+    # pass is one launch.  Isolated lanes take singleton ids in queue
+    # order, and the queue permutation is one launch, not gen_perm.
     passes = 0
     resolved_per_pass: list[int] = []
     if len(frontier):
@@ -320,36 +294,12 @@ def _frontier_match(
         )
         queue = frontier[perm]
         h_q = h_f[perm]
-        iso = queue[h_q == UNMAPPED]
-        if len(iso):
-            st.assign_singletons(iso)
-        keep = h_q >= 0
-        queue, h_q = queue[keep], h_q[keep]
-        while len(queue):
-            passes += 1
-            if passes > 200:  # pathological-input guard, mirrors hec_parallel
-                st.assign_singletons(queue)
-                break
-            resolved = 0
-            atomics = 0
-            for start, stop in space.wave_bounds(len(queue)):
-                u = queue[start:stop]
-                creates, inherits, skips = st.resolve_wave(u, h_q[start:stop], inherit=True)
-                resolved += 2 * creates + inherits
-                atomics += 2 * (len(u) - skips)
-            lanes = len(queue)
-            space.ledger.charge(
-                "mapping",
-                KernelCost(
-                    stream_bytes=4.0 * _B * lanes,
-                    random_bytes=32.0 * _B * lanes,
-                    atomic_ops=float(atomics),
-                    launches=1,
-                ),
-            )
-            resolved_per_pass.append(resolved)
-            still = st.m[queue] == UNMAPPED
-            queue, h_q = queue[still], h_q[still]
+        iso = h_q == UNMAPPED
+        if iso.any():
+            st.assign_singletons(queue[iso])
+        passes, resolved_per_pass = wave_race(
+            st, queue[~iso], h_q[~iso], space, launches=1
+        )
 
     # 6. stable relabel.  Each race-created temp id recycles a retired
     # id by member majority vote (ties: lowest temp, then lowest old id
@@ -494,6 +444,8 @@ def _patch_construct(
     comparing rebuilt rows against their translated old selves, which is
     what makes early exit genuine.
     """
+    from ..construct.vertex_sort import _dedup_keys, sort_cost_keyops  # local: import cycle
+
     m_new = mapping.m
     n_c_new = mapping.n_c
     frontier = aux["frontier"]
@@ -508,13 +460,13 @@ def _patch_construct(
 
     # dirty coarse rows: aggregates of touched ∪ F ∪ N(F_moved), plus
     # surviving rows that referenced a moved survivor in the old graph
-    pos_f, _, _, _, _ = _gather_rows(fine_new, f_moved)
+    pos_f = fine_new.gather_rows(f_moved)[0]
     nbrs = np.asarray(fine_new.adjncy[pos_f]) if len(pos_f) else np.zeros(0, dtype=VI)
     d_rows = np.unique(np.concatenate([ld.touched, frontier, nbrs]))
     parts = [m_new[d_rows]] if len(d_rows) else []
     vol_mv = 0
     if len(movers_old):
-        pos_q, _, _, _, _ = _gather_rows(coarse_old, movers_old)
+        pos_q = coarse_old.gather_rows(movers_old)[0]
         q = new_of_agg[np.asarray(coarse_old.adjncy[pos_q])]
         parts.append(q[q >= 0])
         vol_mv = int(len(pos_q))
@@ -530,7 +482,7 @@ def _patch_construct(
     # merge, restricted to member volume).  The member gather reads the
     # per-aggregate membership lists the engine maintains, so the O(n)
     # scan in this reference implementation charges at list volume.
-    pos_m, _, degs_m, _, _ = _gather_rows(fine_new, members)
+    pos_m, _, degs_m, _, _ = fine_new.gather_rows(members)
     mu = np.repeat(m_new[members], degs_m)
     mv = m_new[np.asarray(fine_new.adjncy[pos_m])] if len(pos_m) else np.zeros(0, dtype=VI)
     w = np.asarray(fine_new.ewgts[pos_m]) if len(pos_m) else np.zeros(0, dtype=WT)
@@ -549,26 +501,18 @@ def _patch_construct(
             launches=1,
         ),
     )
-    key = mu * nn + mv
-    # per-row bin sort, same cost shape as the vertex_sort constructor
-    # (sort_cost_keyops): each dirty row sorts its own pre-dedup bin
-    bins = np.bincount(mu, minlength=n_c_new) if len(mu) else np.zeros(0, dtype=np.int64)
-    kb = bins[bins > 1].astype(np.float64)
-    sort_ops = float((kb * np.ceil(np.log2(kb))).sum()) if len(kb) else 0.0
-    order, skey = stable_key_sort(key, n_c_new * n_c_new)
-    mu, mv, w = mu[order], mv[order], w[order]
-    if len(skey):
-        heads = run_starts(skey)
-        first = np.flatnonzero(heads)
-        if len(first) != len(skey):
-            w = np.add.reduceat(w, first).astype(WT, copy=False)
-            mu, mv = mu[first], mv[first]
-    vol_c = int(len(key))
+    # the vertex_sort constructor's dedup and per-row bin sort pricing:
+    # each dirty row sorts its own pre-dedup bin
+    vol_c = len(mu)
+    key, w, bins = _dedup_keys(
+        mu * nn + mv, w, n_c_new * n_c_new, np.arange(n_c_new + 1, dtype=np.int64) * nn
+    )
+    mu, mv = key // nn, key % nn
     space.ledger.charge(
         "construction",
         KernelCost(
             stream_bytes=4.0 * _B * vol_c,
-            sort_key_ops=sort_ops,
+            sort_key_ops=sort_cost_keyops(bins),
             launches=1,
         ),
     )
@@ -596,7 +540,7 @@ def _patch_construct(
         new_adjncy[out_d] = mv
         new_ewgts[out_d] = w
     if len(clean):
-        pos_c, _, _, reps_c, within_c = _gather_rows(coarse_old, old_clean)
+        pos_c, _, _, reps_c, within_c = coarse_old.gather_rows(old_clean)
         out_c = new_xadj[clean[reps_c]] + within_c
         new_adjncy[out_c] = np.asarray(coarse_old.adjncy[pos_c])
         new_ewgts[out_c] = np.asarray(coarse_old.ewgts[pos_c])
@@ -610,7 +554,7 @@ def _patch_construct(
         vw[surv_new] = np.asarray(coarse_old.vwgts[surv_old])
     if len(frontier):
         np.add.at(vw, m_new[frontier], np.asarray(fine_new.vwgts[frontier]))
-    vwd_extra = ld.vw_dirty[~_isin_sorted(frontier, ld.vw_dirty)]
+    vwd_extra = ld.vw_dirty[~_member_mask(frontier, ld.vw_dirty)]
     if len(vwd_extra):
         corr = np.asarray(fine_new.vwgts[vwd_extra]) - np.asarray(
             fine_old.vwgts[ld.old_of[vwd_extra]]
@@ -649,8 +593,8 @@ def _patch_construct(
         same = np.flatnonzero(~diff)
         if len(same):
             rows_n = cd_p[same]
-            pos_n, _, _, reps_n, _ = _gather_rows(coarse_new, rows_n)
-            pos_o, _, _, _, _ = _gather_rows(coarse_old, old_cd[same])
+            pos_n, _, _, reps_n, _ = coarse_new.gather_rows(rows_n)
+            pos_o = coarse_old.gather_rows(old_cd[same])[0]
             mism = (
                 new_adjncy[pos_n] != new_of_agg[np.asarray(coarse_old.adjncy[pos_o])]
             ) | (new_ewgts[pos_n] != np.asarray(coarse_old.ewgts[pos_o]))
@@ -729,7 +673,6 @@ def _patch_levels(
     base, g_new, delta, space, constructor, cutoff, max_levels, tracker,
 ) -> GraphHierarchy:
     from ..construct.base import get_constructor  # local: avoid import cycle
-    from .hec import hec_parallel
 
     graphs = [g_new]
     mappings: list[CoarseMapping] = []
@@ -754,7 +697,6 @@ def _patch_levels(
                 )
         tracker.hold_level(g_new.n, g_new.m)
 
-        stalled = False
         for lvl, mapping_old in enumerate(base.mappings):
             fine_new = graphs[-1]
             if ld.trivial:
@@ -820,7 +762,6 @@ def _patch_levels(
                         fine_old, fine_new, mapping_old, ld, space
                     )
                 if mapping.n_c >= fine_new.n:
-                    stalled = True
                     break
                 with space.span("construction", level=lvl, constructor=constructor):
                     coarse_new, ld = _patch_construct(
@@ -842,41 +783,14 @@ def _patch_levels(
                     **{k: v for k, v in mapping.stats.items() if k != "algorithm"},
                 }
             )
-
-        # base levels exhausted (or the patched coarsest grew past the
-        # cutoff): finish with ordinary full coarsening — these levels
-        # are cutoff-sized, so the extra cost is negligible
-        construct_fn = get_constructor(constructor)
-        while (
-            not discarded
-            and not stalled
-            and early_exit_level < 0
-            and graphs[-1].n > cutoff
-            and len(mappings) < max_levels
-        ):
-            fine = graphs[-1]
-            lvl = len(mappings)
-            with space.span("level", level=lvl, n=fine.n, m=fine.m):
-                tracker.transient(mapping_workspace("hec", fine.n, fine.m))
-                with space.span("mapping", level=lvl, algorithm="hec"):
-                    mapping = hec_parallel(fine, space)
-                if mapping.n_c >= fine.n:
-                    break
-                with space.span("construction", level=lvl, constructor=constructor):
-                    coarse = construct_fn(fine, mapping, space)
-                tracker.hold_level(coarse.n, coarse.m)
-            if fine.n > cutoff and coarse.n < COARSEN_DISCARD:
-                discarded = True
-                break
-            graphs.append(coarse)
-            mappings.append(mapping)
-            level_stats.append(
-                {
-                    "n": coarse.n,
-                    "m": coarse.m,
-                    "n_c_ratio": fine.n / max(coarse.n, 1),
-                    **{k: v for k, v in mapping.stats.items() if k != "algorithm"},
-                }
+        else:
+            # base levels exhausted: the build's own level loop finishes
+            # whatever the patched coarsest still needs — these levels
+            # are cutoff-sized, so the extra cost is negligible
+            discarded = _level_loop(
+                graphs, mappings, level_stats, space, hec_parallel,
+                get_constructor(constructor), "hec", constructor, cutoff,
+                max_levels, tracker,
             )
 
     return GraphHierarchy(

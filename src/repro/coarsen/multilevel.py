@@ -120,7 +120,6 @@ def _coarsen_levels(
     graphs = [g]
     mappings: list[CoarseMapping] = []
     level_stats: list[dict] = []
-    discarded = False
 
     with space.span("coarsen", algorithm=algo_name, constructor=constructor, graph=g.name):
         if space.machine.is_gpu:
@@ -130,38 +129,10 @@ def _coarsen_levels(
                     KernelCost(transfer_bytes=graph_bytes(g.n, g.m), launches=1),
                 )
         tracker.hold_level(g.n, g.m)
-
-        while graphs[-1].n > cutoff and len(mappings) < max_levels:
-            fine = graphs[-1]
-            level = len(mappings)
-            with space.span("level", level=level, n=fine.n, m=fine.m):
-                tracker.transient(mapping_workspace(algo_name, fine.n, fine.m))
-                with space.span("mapping", level=level, algorithm=algo_name):
-                    mapping = coarsen_fn(fine, space)
-
-                if mapping.n_c >= fine.n:
-                    break  # no progress at all: a genuine stall, stop cleanly
-
-                tracker.transient(construction_workspace(mapping.n_c, fine.m, constructor))
-                with space.span("construction", level=level, constructor=constructor):
-                    coarse = construct_fn(fine, mapping, space)
-                tracker.hold_level(coarse.n, coarse.m)
-
-            # Paper discard rule: overshooting from >50 to <10 drops the level.
-            if fine.n > cutoff and coarse.n < COARSEN_DISCARD:
-                discarded = True
-                break
-
-            graphs.append(coarse)
-            mappings.append(mapping)
-            level_stats.append(
-                {
-                    "n": coarse.n,
-                    "m": coarse.m,
-                    "n_c_ratio": fine.n / max(coarse.n, 1),
-                    **{k: v for k, v in mapping.stats.items() if k != "algorithm"},
-                }
-            )
+        discarded = _level_loop(
+            graphs, mappings, level_stats, space, coarsen_fn, construct_fn,
+            algo_name, constructor, cutoff, max_levels, tracker,
+        )
 
     return GraphHierarchy(
         graphs,
@@ -175,3 +146,47 @@ def _coarsen_levels(
             "peak_memory_projected": tracker.peak,
         },
     )
+
+
+def _level_loop(
+    graphs, mappings, level_stats, space, coarsen_fn, construct_fn, algo_name,
+    constructor, cutoff, max_levels, tracker,
+) -> bool:
+    """Algorithm 1's level loop: coarsen ``graphs[-1]`` down to the cutoff.
+
+    Appends each kept level to ``graphs``, ``mappings`` and
+    ``level_stats``; returns whether the last level was discarded.  Shared
+    by the build and the tail of
+    :func:`repro.coarsen.incremental.patch_hierarchy`.
+    """
+    while graphs[-1].n > cutoff and len(mappings) < max_levels:
+        fine = graphs[-1]
+        level = len(mappings)
+        with space.span("level", level=level, n=fine.n, m=fine.m):
+            tracker.transient(mapping_workspace(algo_name, fine.n, fine.m))
+            with space.span("mapping", level=level, algorithm=algo_name):
+                mapping = coarsen_fn(fine, space)
+
+            if mapping.n_c >= fine.n:
+                return False  # no progress at all: a genuine stall, stop cleanly
+
+            tracker.transient(construction_workspace(mapping.n_c, fine.m, constructor))
+            with space.span("construction", level=level, constructor=constructor):
+                coarse = construct_fn(fine, mapping, space)
+            tracker.hold_level(coarse.n, coarse.m)
+
+        # Paper discard rule: overshooting from >50 to <10 drops the level.
+        if fine.n > cutoff and coarse.n < COARSEN_DISCARD:
+            return True
+
+        graphs.append(coarse)
+        mappings.append(mapping)
+        level_stats.append(
+            {
+                "n": coarse.n,
+                "m": coarse.m,
+                "n_c_ratio": fine.n / max(coarse.n, 1),
+                **{k: v for k, v in mapping.stats.items() if k != "algorithm"},
+            }
+        )
+    return False

@@ -41,12 +41,10 @@ def connected_components(g: CSRGraph) -> tuple[int, np.ndarray]:
         labels[unvisited_ptr] = count
         while len(frontier):
             # Gather all neighbours of the frontier, keep the unvisited ones.
-            starts = g.xadj[frontier]
-            stops = g.xadj[frontier + 1]
-            total = int((stops - starts).sum())
-            if total == 0:
+            pos = g.gather_rows(frontier)[0]
+            if len(pos) == 0:
                 break
-            nbrs = _gather_ranges(g.adjncy, starts, stops, total)
+            nbrs = g.adjncy[pos]
             nbrs = nbrs[labels[nbrs] < 0]
             if len(nbrs) == 0:
                 break
@@ -55,19 +53,6 @@ def connected_components(g: CSRGraph) -> tuple[int, np.ndarray]:
             frontier = nbrs
         count += 1
     return count, labels
-
-
-def _gather_ranges(adjncy, starts, stops, total) -> np.ndarray:
-    """Concatenate ``adjncy[starts[i]:stops[i]]`` for all i, vectorised."""
-    lengths = stops - starts
-    # offsets[k] = position within the output of entry k's source range start
-    out_starts = np.zeros(len(starts), dtype=VI)
-    np.cumsum(lengths[:-1], out=out_starts[1:])
-    idx = np.arange(total, dtype=VI)
-    # For each output slot, subtract the start of its run and add adjncy base.
-    run = np.repeat(np.arange(len(starts), dtype=VI), lengths)
-    idx = idx - out_starts[run] + starts[run]
-    return adjncy[idx]
 
 
 def largest_component(g: CSRGraph) -> np.ndarray:

@@ -183,6 +183,23 @@ class CSRGraph:
         """
         return np.repeat(np.arange(self.n, dtype=VI), self.degrees())
 
+    def gather_rows(self, rows: np.ndarray):
+        """Positions/layout of the concatenated adjacency entries of ``rows``.
+
+        Returns ``(pos, local_xadj, degs, reps, within)``: global entry
+        indices in row-major order, the local row-pointer array over the
+        gathered slice, per-row degrees, the row index (into ``rows``) of
+        each entry, and each entry's offset within its row.
+        """
+        xadj = np.asarray(self.xadj)
+        starts = xadj[rows]
+        degs = (xadj[rows + 1] - starts).astype(np.int64)
+        local = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(degs, out=local[1:])
+        reps = np.repeat(np.arange(len(rows), dtype=np.int64), degs)
+        within = np.arange(int(local[-1]), dtype=np.int64) - local[reps]
+        return starts[reps] + within, local, degs, reps, within
+
     def max_degree(self) -> int:
         """Maximum vertex degree Δ."""
         return int(self.degrees().max(initial=0))
@@ -244,20 +261,6 @@ class CSRGraph:
         from ..storage import mapped
 
         return mapped.open_mapped(path)
-
-    # -- updates ---------------------------------------------------------------
-
-    def apply_edges(self, add=None, remove=None):
-        """Apply a batch of edge additions/removals; return (graph, delta).
-
-        See :func:`repro.csr.update.apply_edges` — the returned graph is
-        byte-identical to rebuilding the CSR from the mutated edge list,
-        and the :class:`~repro.csr.update.EdgeDelta` feeds the
-        incremental coarsening engine.
-        """
-        from .update import apply_edges
-
-        return apply_edges(self, add=add, remove=remove)
 
     # -- conversions -----------------------------------------------------------
 

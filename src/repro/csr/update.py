@@ -170,15 +170,7 @@ def apply_edges(g: CSRGraph, add=None, remove=None) -> tuple[CSRGraph, EdgeDelta
 
     # -- gather the existing entries of every candidate row -------------------
     cand = np.unique(np.concatenate([au, av, ru, rv]))
-    xadj = np.asarray(g.xadj)
-    starts = xadj[cand]
-    degs = xadj[cand + 1] - starts
-    total = int(degs.sum())
-    reps = np.repeat(np.arange(len(cand), dtype=np.int64), degs)
-    row0 = np.zeros(len(cand), dtype=np.int64)
-    np.cumsum(degs[:-1], out=row0[1:])
-    within = np.arange(total, dtype=np.int64) - row0[reps]
-    pos = starts[reps] + within  # global entry indices, ascending
+    pos, _, _, reps, _ = g.gather_rows(cand)  # global entry indices, ascending
     ex_src = cand[reps]
     ex_dst = np.asarray(g.adjncy[pos])
     ex_w = np.asarray(g.ewgts[pos])
@@ -246,8 +238,7 @@ def apply_edges(g: CSRGraph, add=None, remove=None) -> tuple[CSRGraph, EdgeDelta
     new_ewgts[out_kept] = k_w
     new_ewgts[out_ins] = ins_w
 
-    counts = np.diff(xadj)
-    counts = counts - np.bincount(ex_src[~keep_local], minlength=n)
+    counts = g.degrees() - np.bincount(ex_src[~keep_local], minlength=n)
     counts = counts + np.bincount(ins_src, minlength=n)
     new_xadj = np.zeros(n + 1, dtype=VI)
     np.cumsum(counts, out=new_xadj[1:])

@@ -159,13 +159,6 @@ class TestApplyEdges:
                                  name=g.name)
         assert_same_graph(g2, rebuilt)
 
-    def test_convenience_method(self):
-        g = random_connected(20, 30, seed=4)
-        via_method, d1 = g.apply_edges(add=([0], [15], [2.0]))
-        via_fn, d2 = apply_edges(g, add=([0], [15], [2.0]))
-        assert_same_graph(via_method, via_fn)
-        assert d1.summary() == d2.summary()
-
 
 class TestBudgetedKernelParity:
     """PR-8 budgeted twins: byte-identical under tiny windows."""

@@ -1,15 +1,18 @@
 """Incremental hierarchy patching: correctness vs reference contraction,
 quality and cost gates vs a from-scratch rebuild, determinism, early
-exit, the vw-only fast path, tape replay, and the coarsen_multilevel
-delta wiring."""
+exit, the vw-only fast path, the tail levels, tape replay, the
+coarsen_multilevel delta wiring, and the update-stream ledger."""
 
 from __future__ import annotations
 
 import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.bench.updates import run_update_stream
 from repro.coarsen.incremental import (
     COST_RATIO_GATE,
     QUALITY_TOL,
@@ -22,8 +25,11 @@ from repro.generators.mesh import grid2d
 from repro.parallel.cost import CostLedger
 from repro.parallel.execspace import ExecSpace
 from repro.parallel.machine import RYZEN32_CPU
+from repro.parallel.memory import construction_workspace, mapping_workspace
 from repro.partition.multilevel import multilevel_bisect
 from repro.trace.tape import Tape
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def space(seed: int = 0) -> ExecSpace:
@@ -242,6 +248,57 @@ class TestEarlyExitAndFastPaths:
         assert [h.n for h in patch.graphs] == [h.n for h in full.graphs]
 
 
+def level_tracker_calls(events) -> dict:
+    """The tracker calls a tape recorded inside each ``level`` span."""
+    calls: dict = {}
+    stack: list = []
+    for ev in events:
+        if ev[0] == "open":
+            stack.append(ev[2]["level"] if ev[1] == "level" else None)
+            if ev[1] == "level":
+                calls[ev[2]["level"]] = []
+        elif ev[0] == "close":
+            stack.pop()
+        elif ev[0] in ("transient", "hold"):
+            levels = [lvl for lvl in stack if lvl is not None]
+            if levels:
+                calls[levels[-1]].append(ev)
+    return calls
+
+
+class TestTailLevels:
+    def test_tail_records_the_build_tracker_sequence(self):
+        """Levels past the base's run the build's own level loop: each
+        records the mapping transient, the construction transient, then
+        the level's hold, as every coarsen_multilevel level does."""
+        g = mesh_graph()
+        base = coarsen_multilevel(g, space(), max_levels=2)
+        add, remove = mesh_batch(g, np.random.default_rng(11))
+        g1, delta = apply_edges(g, add=add, remove=remove)
+        tape = Tape()
+        patch = patch_hierarchy(base, g1, delta, space(), tape=tape)
+        assert patch.stats["early_exit_level"] == -1
+
+        build = Tape()
+        coarsen_multilevel(g1, space(), tape=build)
+        kinds = ["transient", "transient", "hold"]
+        assert all(
+            [ev[0] for ev in c] == kinds
+            for c in level_tracker_calls(build.events).values()
+        )
+
+        got = level_tracker_calls(tape.events)
+        tail = range(len(base.mappings), len(patch.mappings))
+        assert len(tail) >= 2
+        for lvl in tail:
+            fine, mp, coarse = patch.graphs[lvl], patch.mappings[lvl], patch.graphs[lvl + 1]
+            assert got[lvl] == [
+                ("transient", mapping_workspace("hec", fine.n, fine.m)),
+                ("transient", construction_workspace(mp.n_c, fine.m, "sort")),
+                ("hold", coarse.n, coarse.m),
+            ]
+
+
 class TestWiring:
     def test_non_hec_base_rejected(self, patched_vs_full):
         base, g1 = patched_vs_full["base"], patched_vs_full["g1"]
@@ -319,3 +376,15 @@ def dumbbell_graph(blocks: int):
 def patched_vs_full_cost_floor() -> float:
     """A loose ceiling for 'nearly free': well under any full level."""
     return 1e-3
+
+
+class TestUpdateStreamLedger:
+    def test_deterministic_fields_match_committed_baseline(self):
+        """The update-stream CI gate's bit-deterministic ledger fields:
+        the patch runs the build's race, level loop and dedup, so a
+        drift in any of them shows here."""
+        report = run_update_stream(graph="europeOsm", machine="cpu")
+        ref = json.loads((REPO_ROOT / "BENCH_wallclock.json").read_text())
+        ref = ref["configs"]["update-stream:cpu:europeOsm:s0:b8x32"]
+        for field in ("cost_ratio", "patch_cost_sum_s", "rebuild_cost_sum_s", "worst"):
+            assert report[field] == ref[field], field

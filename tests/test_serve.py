@@ -592,6 +592,34 @@ class TestUpdateGraph:
             ex.registry.close()
         _no_own_segments()
 
+    def test_patched_tenant_keeps_its_cold_peak_mem(self):
+        """Patched levels are copy-on-write of levels the cold build
+        already holds: nine compounding updates leave an ``oom`` read's
+        projected peak at the cold build's, where holding every
+        hierarchy of the lineage would project past the budget."""
+        import numpy as np
+
+        ex = ServeExecutor()
+        try:
+            read = _req(op="coarsen", graph="europeOsm", seed=1, oom=True)
+            cold = ex.execute(read)["row"]
+            assert cold["oom"] is False
+            g, _spec = ex.registry.graph("europeOsm", 1)
+            src, adj = g.edge_sources(), np.asarray(g.adjncy)
+            rng = np.random.default_rng(5)
+            for entries in rng.choice(g.m_directed, (9, 32), replace=False):
+                add = [[int(u), int(v), 2.5]
+                       for u, v in rng.integers(0, g.n, (32, 2)) if u != v]
+                remove = [[int(src[e]), int(adj[e])] for e in entries]
+                resp = ex.execute(_update_req("europeOsm", 1, add, remove))
+                assert resp["row"]["hierarchies_patched"] == 1
+                row = ex.execute(read)["row"]
+                assert row["oom"] is False
+                assert row["peak_mem"] == cold["peak_mem"]
+        finally:
+            ex.registry.close()
+        _no_own_segments()
+
     def test_updates_past_tenant_bound_are_kept(self):
         """More updated tenants than ``max_graphs``: the tenant being
         loaded is never its own eviction victim, so every update lands
