@@ -1,10 +1,11 @@
 """Result aggregation, table formatting, and the runner CLI.
 
-Besides the formatting helpers, this module is executable::
+Besides the formatting helpers, this module is the runner CLI, run as
+``python -m repro.bench``::
 
-    python -m repro.bench.report coarsen  --graph ppa --machine gpu --trace-dir traces/
-    python -m repro.bench.report partition --graph ppa --refinement spectral --trace-dir traces/
-    python -m repro.bench.report corpus   --machine gpu --trace-dir traces/
+    python -m repro.bench --trace-dir traces/ coarsen  --graph ppa --machine gpu
+    python -m repro.bench --trace-dir traces/ partition --graph ppa --refinement spectral
+    python -m repro.bench --trace-dir traces/ corpus   --machine gpu
 
 Each invocation runs the configured pipeline(s) through the harness,
 prints the result table, and — with ``--trace-dir`` — writes one
@@ -454,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     import argparse
 
     ap = argparse.ArgumentParser(
-        prog="python -m repro.bench.report",
+        prog="python -m repro.bench",
         description="run harness configurations, print tables, write traces",
     )
     ap.add_argument("--trace-dir", type=Path, default=None,

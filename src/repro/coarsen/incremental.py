@@ -73,10 +73,10 @@ from ..parallel.execspace import ExecSpace
 from ..parallel.memory import MemoryTracker, mapping_workspace
 from ..parallel.primitives import segment_max_index
 from ..parallel.wavekernels import ClaimState, group_ranks
-from ..types import COARSEN_CUTOFF, COARSEN_DISCARD, UNMAPPED, VI, WT
+from ..types import COARSEN_CUTOFF, UNMAPPED, VI, WT
 from .base import CoarseMapping
 from .hec import hec_parallel, wave_race
-from .multilevel import MAX_LEVELS, GraphHierarchy, _level_loop
+from .multilevel import MAX_LEVELS, GraphHierarchy, _keep_level, _level_loop
 
 __all__ = ["patch_hierarchy", "QUALITY_TOL", "COST_RATIO_GATE"]
 
@@ -198,7 +198,7 @@ def _frontier_match(
     grouping therefore reproduces the old *ids*, and the delta dies
     instead of cascading through every neighbouring coarse row.
 
-    Returns ``(state, mapping, aux)`` where ``aux`` carries the
+    Returns ``(mapping, aux)`` where ``aux`` carries the
     frontier, the moved-member set, the old↔final aggregate id maps,
     and the surviving-mover list the construction pass needs.
     """
@@ -417,7 +417,7 @@ def _frontier_match(
         "surv_old": surv.astype(VI),
         "surv_new": relabel[surv],
     }
-    return st, mapping, aux
+    return mapping, aux
 
 
 def _patch_construct(
@@ -758,7 +758,7 @@ def _patch_levels(
             with space.span("level", level=lvl, n=fine_new.n, m=fine_new.m):
                 tracker.transient(mapping_workspace("hec_delta", fine_new.n, fine_new.m))
                 with space.span("mapping", level=lvl, algorithm="hec_delta"):
-                    st, mapping, aux = _frontier_match(
+                    mapping, aux = _frontier_match(
                         fine_old, fine_new, mapping_old, ld, space
                     )
                 if mapping.n_c >= fine_new.n:
@@ -769,20 +769,11 @@ def _patch_levels(
                     )
                 tracker.hold_level(coarse_new.n, coarse_new.m)
 
-            if fine_new.n > cutoff and coarse_new.n < COARSEN_DISCARD:
+            if not _keep_level(
+                graphs, mappings, level_stats, coarse_new, mapping, cutoff
+            ):
                 discarded = True
                 break
-
-            graphs.append(coarse_new)
-            mappings.append(mapping)
-            level_stats.append(
-                {
-                    "n": coarse_new.n,
-                    "m": coarse_new.m,
-                    "n_c_ratio": fine_new.n / max(coarse_new.n, 1),
-                    **{k: v for k, v in mapping.stats.items() if k != "algorithm"},
-                }
-            )
         else:
             # base levels exhausted: the build's own level loop finishes
             # whatever the patched coarsest still needs — these levels

@@ -37,10 +37,11 @@ class GraphHierarchy:
     graphs: list[CSRGraph]
     mappings: list[CoarseMapping]
     stats: dict = field(default_factory=dict)
-    #: Fiedler embeddings of this hierarchy, kept by
-    #: :func:`repro.partition.multilevel.spectral_vector`: ``machine name
-    #: -> (entry RNG state, (x, iters, tape) or None)``
-    embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: refined reads of this hierarchy, kept by
+    #: :func:`repro.partition.multilevel.kept_read`: ``read key ->
+    #: (entry RNG state, (answer, tape) or None)``, least recently used
+    #: first
+    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def levels(self) -> int:
@@ -175,18 +176,27 @@ def _level_loop(
                 coarse = construct_fn(fine, mapping, space)
             tracker.hold_level(coarse.n, coarse.m)
 
-        # Paper discard rule: overshooting from >50 to <10 drops the level.
-        if fine.n > cutoff and coarse.n < COARSEN_DISCARD:
+        if not _keep_level(graphs, mappings, level_stats, coarse, mapping, cutoff):
             return True
-
-        graphs.append(coarse)
-        mappings.append(mapping)
-        level_stats.append(
-            {
-                "n": coarse.n,
-                "m": coarse.m,
-                "n_c_ratio": fine.n / max(coarse.n, 1),
-                **{k: v for k, v in mapping.stats.items() if k != "algorithm"},
-            }
-        )
     return False
+
+
+def _keep_level(graphs, mappings, level_stats, coarse, mapping, cutoff) -> bool:
+    """Append a level built from ``graphs[-1]``, unless the paper's
+    discard rule drops it (overshooting from >50 to <10); returns
+    whether it was kept.  Shared by :func:`_level_loop` and the patched
+    levels of :func:`repro.coarsen.incremental.patch_hierarchy`."""
+    fine = graphs[-1]
+    if fine.n > cutoff and coarse.n < COARSEN_DISCARD:
+        return False
+    graphs.append(coarse)
+    mappings.append(mapping)
+    level_stats.append(
+        {
+            "n": coarse.n,
+            "m": coarse.m,
+            "n_c_ratio": fine.n / max(coarse.n, 1),
+            **{k: v for k, v in mapping.stats.items() if k != "algorithm"},
+        }
+    )
+    return True

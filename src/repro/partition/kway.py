@@ -24,7 +24,7 @@ from ..csr.graph import CSRGraph
 from ..parallel.cost import KernelCost
 from ..parallel.execspace import ExecSpace
 from .metrics import edge_cut, imbalance, partition_weights
-from .multilevel import spectral_vector
+from .multilevel import kept_read, spectral_vector
 
 __all__ = ["quantile_split", "greedy_kway_refine", "kway_from_hierarchy"]
 
@@ -219,20 +219,28 @@ def kway_from_hierarchy(
     """k-way partition of ``g`` reusing a prebuilt ``hierarchy``.
 
     Returns ``(part, stats)`` where stats carries the cut, imbalance,
-    and power-iteration counts.  The hierarchy is read-only: repeated
-    calls at different k share it untouched.
+    and power-iteration counts.  The hierarchy's graphs are read-only:
+    repeated calls at different k share them untouched.  The read is
+    kept on the hierarchy (:func:`~repro.partition.multilevel.kept_read`,
+    keyed by machine and k); a kept ``part`` is read-only.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    part, cut, imb, iters = kept_read(
+        hierarchy, (space.machine.name, "kway", k), space,
+        lambda: _kway(g, hierarchy, k, space),
+    )
+    return part, {"k": k, "cut": cut, "imbalance": imb, "power_iters": list(iters)}
+
+
+def _kway(
+    g: CSRGraph, hierarchy: GraphHierarchy, k: int, space: ExecSpace
+) -> tuple[np.ndarray, float, float, list[int]]:
+    """Compute the read :func:`kway_from_hierarchy` returns:
+    ``(part, cut, imbalance, power-iteration counts)``."""
     with space.span("kway", graph=g.name, k=k):
         x, iters = spectral_vector(hierarchy, space)
         part = quantile_split(x, g.vwgts, k)
         with space.span("refine-kway", k=k):
             part = greedy_kway_refine(g, part, k, space)
-    stats = {
-        "k": k,
-        "cut": edge_cut(g, part),
-        "imbalance": imbalance(g, part, k),
-        "power_iters": iters,
-    }
-    return part, stats
+    return part, edge_cut(g, part), imbalance(g, part, k), iters

@@ -30,7 +30,13 @@ from .ggg import greedy_graph_growing
 from .metrics import edge_cut, imbalance
 from .spectral import fiedler_dense, fiedler_power_iteration, median_split
 
-__all__ = ["PartitionResult", "multilevel_bisect", "spectral_vector"]
+__all__ = [
+    "MAX_KEPT_READS",
+    "PartitionResult",
+    "kept_read",
+    "multilevel_bisect",
+    "spectral_vector",
+]
 
 #: power-iteration budgets.  The coarsest graph (<= 50 vertices) gets a
 #: generous budget; each refinement level gets a short one — multilevel
@@ -41,6 +47,12 @@ __all__ = ["PartitionResult", "multilevel_bisect", "spectral_vector"]
 #: it does on hard instances the result is the paper's "misconvergence".
 _COARSE_ITERS = 500
 _LEVEL_ITERS = 15
+
+#: reads one hierarchy keeps (:func:`kept_read`), notes included, the
+#: least recently used dropped first.  The serving loadtest's template
+#: reads seven per hierarchy: the embedding, the FM bisection and k-way
+#: at k = 4, 8, …, 64.
+MAX_KEPT_READS = 8
 
 
 @dataclass
@@ -78,7 +90,9 @@ def multilevel_bisect(
     lighter limits (2 passes, short non-improving-move streaks), which
     is what makes coarsening quality show through in Table VI.
 
-    Passing a prebuilt ``hierarchy`` skips coarsening.
+    Passing a prebuilt ``hierarchy`` skips coarsening.  The read is kept
+    on the hierarchy (:func:`kept_read`, keyed by machine and refinement
+    effort), so repeating it on a cached hierarchy replays it.
     """
     if hierarchy is None:
         hierarchy = coarsen_multilevel(
@@ -89,6 +103,34 @@ def multilevel_bisect(
             cutoff=cutoff,
             tracker=tracker,
         )
+    key = (space.machine.name, "bisect", refinement, fm_passes, fm_stall_limit)
+    part, cut, imb, stats = kept_read(
+        hierarchy, key, space,
+        lambda: _bisect(g, hierarchy, space, refinement, fm_passes, fm_stall_limit),
+    )
+    # per-level iteration counts, copied: a kept read shares its lists
+    stats = {name: list(iters) for name, iters in stats.items()}
+    stats.update(
+        {
+            "refinement": refinement,
+            "coarsener": coarsener,
+            "constructor": constructor,
+            "imbalance": imb,
+        }
+    )
+    return PartitionResult(part, cut, hierarchy, stats)
+
+
+def _bisect(
+    g: CSRGraph,
+    hierarchy: GraphHierarchy,
+    space: ExecSpace,
+    refinement: str,
+    fm_passes: int,
+    fm_stall_limit: int | None,
+) -> tuple[np.ndarray, float, float, dict]:
+    """Refine one bisection up ``hierarchy``: ``(part, cut, imbalance,
+    per-level iteration counts)``."""
     if refinement == "spectral":
         with space.span("uncoarsen", refinement="spectral", graph=g.name):
             part, stats = _uncoarsen_spectral(hierarchy, space)
@@ -97,17 +139,45 @@ def multilevel_bisect(
             part, stats = _uncoarsen_fm(hierarchy, space, fm_passes, fm_stall_limit)
     else:
         raise ValueError(f"unknown refinement {refinement!r}")
+    return part, edge_cut(g, part), imbalance(g, part), stats
 
-    cut = edge_cut(g, part)
-    stats.update(
-        {
-            "refinement": refinement,
-            "coarsener": coarsener,
-            "constructor": constructor,
-            "imbalance": imbalance(g, part),
-        }
-    )
-    return PartitionResult(part, cut, hierarchy, stats)
+
+def kept_read(hierarchy: GraphHierarchy, key, space: ExecSpace, compute):
+    """``compute()``, or the answer ``hierarchy`` kept for the same read.
+
+    A refined read depends only on the hierarchy, the machine, the
+    read's parameters (all in ``key``) and the RNG state at entry, so
+    its answer is kept on the hierarchy (``hierarchy.kept``).  The first
+    read computes it and notes the entry RNG state; a second read from
+    the same state records it on a :class:`~repro.trace.tape.Tape`;
+    later reads from that state replay the tape (charges, spans, RNG
+    position) into the caller's open span and return the kept answer.
+    ``compute`` returns a tuple; its arrays are kept read-only.  At most
+    :data:`MAX_KEPT_READS` reads are kept, the least recently used
+    dropped first, and a read recorded around a nested kept read (the
+    k-way read around its embedding) captures what that one did.
+    """
+    kept = hierarchy.kept
+    entry = space.rng.bit_generator.state
+    noted = kept.pop(key, None)
+    if noted is None or noted[0] != entry:
+        value = compute()
+        noted = noted or (entry, None)
+    elif noted[1] is None:
+        tape = Tape()
+        with tape.record(space):
+            value = compute()
+        for item in value:
+            if isinstance(item, np.ndarray):
+                item.setflags(write=False)
+        noted = (entry, (value, tape))
+    else:
+        value, tape = noted[1]
+        tape.replay(space)
+    kept[key] = noted  # most recently used last
+    while len(kept) > MAX_KEPT_READS:
+        del kept[next(iter(kept))]
+    return value
 
 
 def spectral_vector(
@@ -121,31 +191,12 @@ def spectral_vector(
     then interpolate + warm-started power iteration per level.  Returns
     the finest-level vector and the per-level iteration counts.
 
-    The embedding depends only on the hierarchy, the machine and the
-    RNG state at entry, so it is kept on the hierarchy
-    (``hierarchy.embeddings``, keyed by machine name).  The first read
-    computes it and notes the entry RNG state; a second read from the
-    same state records it on a :class:`~repro.trace.tape.Tape`; later
-    reads from that state replay the tape (charges, spans, RNG position)
-    into the caller's open span and return the kept ``x`` read-only.  A
-    hierarchy read once keeps only the noted state.
+    The embedding is kept on the hierarchy (:func:`kept_read`, keyed by
+    machine name); a kept ``x`` is read-only.
     """
-    key = space.machine.name
-    entry = space.rng.bit_generator.state
-    noted = hierarchy.embeddings.get(key)
-    if noted is None or noted[0] != entry:
-        if noted is None:
-            hierarchy.embeddings[key] = (entry, None)
-        return _embed(hierarchy, space)
-    if noted[1] is None:
-        tape = Tape()
-        with tape.record(space):
-            x, iters = _embed(hierarchy, space)
-        x.setflags(write=False)
-        hierarchy.embeddings[key] = (entry, (x, iters, tape))
-    else:
-        x, iters, tape = noted[1]
-        tape.replay(space)
+    x, iters = kept_read(
+        hierarchy, space.machine.name, space, lambda: _embed(hierarchy, space)
+    )
     return x, list(iters)
 
 

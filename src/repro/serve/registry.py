@@ -267,17 +267,21 @@ class HierarchyCache:
     def stats(self) -> dict:
         with self._lock:
             lookups = self.hits + self.misses
-            # cached hierarchies holding a recorded Fiedler embedding
-            # (``GraphHierarchy.embeddings``, kept by ``spectral_vector``;
-            # listed first, as the dispatcher may add one meanwhile)
-            embeddings = sum(
-                any(kept is not None for _, kept in
-                    list(getattr(h, "embeddings", {}).values()))
+            # the recorded reads of each cached hierarchy
+            # (``GraphHierarchy.kept``, by ``partition.multilevel.kept_read``;
+            # listed first, as the dispatcher may add one meanwhile).  The
+            # Fiedler embedding is the one kept under a bare machine name.
+            recorded = [
+                [key for key, (_, kept) in list(getattr(h, "kept", {}).items())
+                 if kept is not None]
                 for h, _tape in self._entries.values()
-            )
+            ]
             return {
                 "entries": len(self._entries),
-                "embeddings": embeddings,
+                "embeddings": sum(
+                    any(isinstance(key, str) for key in keys) for keys in recorded
+                ),
+                "recorded_reads": sum(map(len, recorded)),
                 "builds": self.builds,
                 "hits": self.hits,
                 "misses": self.misses,

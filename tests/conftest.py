@@ -1,4 +1,5 @@
-"""Shared fixtures: small graphs with known structure."""
+"""Shared fixtures: small graphs with known structure, and a counter of
+the refined reads a hierarchy computes."""
 
 from __future__ import annotations
 
@@ -81,3 +82,22 @@ def rc100():
 @pytest.fixture
 def rc400():
     return random_connected(400, 700, seed=5)
+
+
+@pytest.fixture
+def kept_computes(monkeypatch) -> list:
+    """One entry per bisection or k-way read that computed (plain or
+    recorded) instead of replaying what its hierarchy kept."""
+    from repro.partition import kway
+    from repro.partition import multilevel
+
+    calls = []
+    for module, name in ((multilevel, "_bisect"), (kway, "_kway")):
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls

@@ -23,6 +23,7 @@ from repro.partition import (
     spectral_bisect,
     validate_partition,
 )
+from repro.partition.kway import kway_from_hierarchy
 from repro.partition.multilevel import spectral_vector
 from repro.partition.spectral import fiedler_dense
 
@@ -222,18 +223,19 @@ class TestMultilevelBisect:
         assert res.stats["imbalance"] <= 1.0 / (g.n // 2)
 
 
+@pytest.fixture(scope="module")
+def deep():
+    # stops above the dense threshold (569 coarsest vertices), so the
+    # coarsest solve draws its start vector from the RNG
+    g, _ = corpus.load("delaunay24", 0)
+    h = coarsen_multilevel(g, gpu_space(0), cutoff=600)
+    assert h.coarsest.n > 512
+    return h
+
+
 class TestEmbeddingReuse:
     """``spectral_vector`` keeps one embedding per hierarchy: the first
     read computes it, the second records it, later reads replay it."""
-
-    @pytest.fixture(scope="class")
-    def deep(self):
-        # stops above the dense threshold (569 coarsest vertices), so the
-        # coarsest solve draws its start vector from the RNG
-        g, _ = corpus.load("delaunay24", 0)
-        h = coarsen_multilevel(g, gpu_space(0), cutoff=600)
-        assert h.coarsest.n > 512
-        return h
 
     @staticmethod
     def _fresh(h):
@@ -259,13 +261,13 @@ class TestEmbeddingReuse:
             assert rng == want_rng
             assert ledger == want_ledger
         assert not reads[2][0].flags.writeable
-        ((_, kept),) = h.embeddings.values()
+        ((_, kept),) = h.kept.values()
         assert kept is not None
 
     def test_one_read_keeps_no_embedding(self, deep):
         h = self._fresh(deep)
         self._read(h)
-        ((_, kept),) = h.embeddings.values()
+        ((_, kept),) = h.kept.values()
         assert kept is None
 
     def test_other_entry_state_recomputes(self, deep):
@@ -276,6 +278,102 @@ class TestEmbeddingReuse:
         want = self._read(self._fresh(deep), seed=8)
         assert x.tobytes() == want[0].tobytes()
         assert (iters, rng, ledger) == want[1:4]
+
+
+def _bisect_read(refinement):
+    def read(h, space):
+        res = multilevel_bisect(h.graphs[0], space, refinement=refinement, hierarchy=h)
+        return res.part, {"cut": res.cut, **res.stats}
+    return read
+
+
+def _kway_read(k):
+    def read(h, space):
+        return kway_from_hierarchy(h.graphs[0], h, k, space)
+    return read
+
+
+#: every refined read a hierarchy keeps besides the embedding:
+#: ``read(h, space) -> (part, stats)``
+KEPT_READS = {
+    "bisect-fm": _bisect_read("fm"),
+    "bisect-spectral": _bisect_read("spectral"),
+    "kway-3": _kway_read(3),
+    "kway-8": _kway_read(8),
+    "kway-64": _kway_read(64),
+}
+
+
+class TestKeptReads:
+    """Bisections and k-way reads are kept like the embedding: computed,
+    recorded, then replayed, each read with the same part, stats, RNG
+    state and ledger phase totals as a computed one."""
+
+    @staticmethod
+    def _read(h, read, seed=7):
+        space = gpu_space(seed)
+        space.rng.standard_normal(3)  # enter mid-stream, as after a build
+        part, stats = KEPT_READS[read](h, space)
+        ledger = {p: space.ledger.phase(p).as_dict() for p in space.ledger.phases()}
+        return part, stats, space.rng.bit_generator.state, ledger
+
+    @pytest.mark.parametrize("read", sorted(KEPT_READS))
+    def test_replay_equals_recomputation(self, deep, read, kept_computes):
+        want_part, want_stats, want_rng, want_ledger = self._read(
+            TestEmbeddingReuse._fresh(deep), read
+        )
+        h = TestEmbeddingReuse._fresh(deep)
+        del kept_computes[:]
+        for i in range(4):  # plain, recorded, replayed twice
+            part, stats, rng, ledger = self._read(h, read)
+            assert part.tobytes() == want_part.tobytes()
+            assert stats == want_stats
+            assert rng == want_rng
+            assert ledger == want_ledger
+            if i >= 1:
+                assert not part.flags.writeable
+            # iteration counts are copies: editing them keeps the answer
+            for value in stats.values():
+                if isinstance(value, list):
+                    value.append(-1)
+        assert len(kept_computes) == 2
+        # the read, plus the embedding it recorded or replayed inside
+        recorded = [key for key, (_, rec) in h.kept.items() if rec is not None]
+        assert len(recorded) == (1 if read == "bisect-fm" else 2), recorded
+
+    @pytest.mark.parametrize("read", ["bisect-fm", "kway-8"])
+    def test_other_entry_state_recomputes(self, deep, read):
+        h = TestEmbeddingReuse._fresh(deep)
+        self._read(h, read)
+        self._read(h, read)  # recorded at seed 7's entry state
+        part, *rest = self._read(h, read, seed=8)
+        want = self._read(TestEmbeddingReuse._fresh(deep), read, seed=8)
+        assert part.tobytes() == want[0].tobytes()
+        assert rest == list(want[1:])
+
+    def test_kept_reads_are_bounded(self):
+        """Reading k = 2…64 twice each keeps at most MAX_KEPT_READS reads,
+        the least recently used dropped: the last k-way reads and the
+        embedding every one of them replays."""
+        from repro.partition.multilevel import MAX_KEPT_READS
+
+        g = random_connected(400, 700, seed=5)
+        h = coarsen_multilevel(g, gpu_space(0))
+        for k in range(2, 65):
+            for _ in range(2):
+                space = gpu_space(0)
+                if k == 2:
+                    multilevel_bisect(g, space, hierarchy=h)
+                else:
+                    kway_from_hierarchy(g, h, k, space)
+                assert len(h.kept) <= MAX_KEPT_READS
+        kept = {key: rec for key, (_, rec) in h.kept.items()}
+        assert len(kept) == MAX_KEPT_READS
+        assert all(rec is not None for rec in kept.values())
+        machine = gpu_space(0).machine.name
+        assert set(kept) == {machine} | {
+            (machine, "kway", k) for k in range(66 - MAX_KEPT_READS, 65)
+        }
 
 
 class TestBaselines:

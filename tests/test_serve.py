@@ -452,6 +452,98 @@ class TestHierarchyReuse:
         assert not cache.peek(hierarchy_key(_req(seed=0)))
 
 
+#: each refined op a served hierarchy keeps, on delaunay24
+KEPT_OPS = {
+    "fm": _req(graph="delaunay24"),
+    "spectral": _req(graph="delaunay24", refinement="spectral"),
+    "k3": _req(graph="delaunay24", k=3),
+    "k8": _req(graph="delaunay24", k=8),
+    "k64": _req(graph="delaunay24", k=64),
+}
+
+
+@pytest.fixture(scope="module")
+def kept_ops_rows() -> dict:
+    """Each of :data:`KEPT_OPS`' reuse-free rows, trace included."""
+    return {op: _reuse_free_row(req) for op, req in KEPT_OPS.items()}
+
+
+class TestKeptReads:
+    """A cached hierarchy keeps every refined read: the first computes,
+    the second records, later ones replay the recorded effects."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("recorded_traced", [False, True])
+    @pytest.mark.parametrize("first", [
+        "spectral",  # the embedding is recorded inside a bisection
+        "k3",  # the embedding is recorded inside a k-way read
+    ])
+    def test_repeated_reads_equal_reuse_free_runs(
+        self, first, recorded_traced, threads, kept_ops_rows, kept_computes
+    ):
+        """Each op read four times on one executor, traced and untraced
+        alternately: every row equals a reuse-free run's (without its
+        trace where none was asked for), and each op computes twice."""
+        from repro.parallel import tiles
+
+        ex = ServeExecutor(threads=threads)
+        try:
+            assert ex.execute({**KEPT_OPS["fm"], "op": "coarsen"})["status"] == "ok"
+            for op in [first] + [op for op in KEPT_OPS if op != first]:
+                del kept_computes[:]
+                for i in range(4):
+                    trace = (i % 2 == 1) == recorded_traced
+                    resp = ex.execute({**KEPT_OPS[op], "trace": trace})
+                    assert resp["status"] == "ok", resp
+                    want = kept_ops_rows[op]
+                    row = want if trace else _without_trace(want)
+                    assert _canon(resp["row"]) == _canon(row), (op, i)
+                assert len(kept_computes) == 2, op
+            stats = ex.hierarchies.stats()
+            assert stats["builds"] == 1
+            assert stats["embeddings"] == 1
+            assert stats["recorded_reads"] == len(KEPT_OPS) + 1  # + the embedding
+        finally:
+            ex.registry.close()
+            tiles.configure(1)
+        _no_own_segments()
+
+    @pytest.mark.parametrize("drop", ["update", "evict", "lru"])
+    def test_kept_reads_die_with_their_hierarchy(self, drop):
+        """After an update, an explicit evict or an LRU drop, the patched
+        or rebuilt hierarchy holds no recorded read, and its next read
+        equals a fresh executor's."""
+        ex = ServeExecutor(hierarchies=HierarchyCache(max_entries=1))
+        fresh = ServeExecutor()
+        reads = [_req(k=8, trace=False), _req(trace=False)]
+        try:
+            for req in reads * 3:
+                assert ex.execute(req)["status"] == "ok"
+            assert ex.hierarchies.stats()["recorded_reads"] == 3
+            if drop == "update":
+                g, _spec = ex.registry.graph("ppa", 0)
+                u, v = _new_edge_for(g)
+                update = _update_req(add=[[u, v, 2.5]])
+                assert ex.execute(update)["row"]["hierarchies_patched"] == 1
+                for req in (reads[0], update):  # the same patch, read once
+                    assert fresh.execute(req)["status"] == "ok"
+            elif drop == "evict":
+                ex.hierarchies.evict(hierarchy_key(reads[0]))
+            else:
+                assert ex.execute(_req(op="coarsen", seed=1))["status"] == "ok"
+            assert ex.hierarchies.stats()["recorded_reads"] == 0
+            for req in reads:
+                got = ex.execute(req)
+                assert _canon(got["row"]) == _canon(fresh.execute(req)["row"])
+            key = hierarchy_key(reads[0])
+            hierarchy, _tape = ex.hierarchies.entry(key)
+            assert all(rec is None for _, rec in hierarchy.kept.values())
+        finally:
+            ex.registry.close()
+            fresh.registry.close()
+        _no_own_segments()
+
+
 def _new_edge_for(g):
     """A (u, v) pair guaranteed absent from ``g``."""
     import numpy as np
@@ -1085,12 +1177,14 @@ class TestRecovery:
         _no_own_segments()
 
     def test_first_kway_read_after_recovery_recomputes(self, tmp_path, monkeypatch):
-        """Embeddings are not journaled: the recovered hierarchy holds
-        none, so its first k-way read computes it, byte-identically."""
+        """Kept reads are not journaled: the recovered hierarchy holds
+        none, so its first k-way read computes the embedding,
+        byte-identically."""
         ex1, j1 = _journaled_executor(tmp_path)
         try:
-            before = [ex1.execute(_req(k=k)) for k in (3, 4, 5)]
+            before = [ex1.execute(_req(k=k)) for k in (3, 4, 5, 5)]
             assert ex1.hierarchies.stats()["embeddings"] == 1
+            assert ex1.hierarchies.stats()["recorded_reads"] == 2
         finally:
             j1.close()
             ex1.registry.close()
@@ -1100,6 +1194,7 @@ class TestRecovery:
         try:
             assert recover_executor(ex2, tmp_path)["hierarchies"] == 1
             assert ex2.hierarchies.stats()["embeddings"] == 0
+            assert ex2.hierarchies.stats()["recorded_reads"] == 0
             after = ex2.execute(_req(k=5))
             assert len(embeds) == 1
             assert after["meta"]["hierarchy"] == "hit"
