@@ -465,11 +465,13 @@ def main(argv: list[str] | None = None) -> int:
                          "repro.faultinject; e.g. 'pool.worker:crash:"
                          "attempt<1,graph=ppa'); equivalent to REPRO_FAULTS")
     sub = ap.add_subparsers(dest="command", required=True)
+    from .. import available_coarseners, available_constructors
 
     def common(p, partition=False):
         p.add_argument("--machine", choices=("gpu", "cpu"), default="gpu")
-        p.add_argument("--coarsener", default="hec")
-        p.add_argument("--constructor", default="sort")
+        p.add_argument("--coarsener", choices=available_coarseners(), default="hec")
+        p.add_argument("--constructor", choices=available_constructors(),
+                       default="sort")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tier", choices=("base", "x10", "x100"), default="base",
                        help="scale tier: run on the 10x/100x out-of-core "

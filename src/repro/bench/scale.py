@@ -56,9 +56,12 @@ def add_scale_args(p) -> None:
                    help="comma-separated base graph names "
                         f"(default: {DEFAULT_GRAPHS})")
     p.add_argument("--tier", choices=("x10", "x100"), default="x10")
+    from .. import available_coarseners, available_constructors
+
     p.add_argument("--machine", choices=("gpu", "cpu"), default="gpu")
-    p.add_argument("--coarsener", default="hec")
-    p.add_argument("--constructor", default="sort")
+    p.add_argument("--coarsener", choices=available_coarseners(), default="hec")
+    p.add_argument("--constructor", choices=available_constructors(),
+                   default="sort")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--memory-budget", default="32M", metavar="BYTES",
                    help="resident ceiling handed to each child (default 32M)")

@@ -8,13 +8,13 @@ from .base import (
     mapped_cross_edges,
     register_constructor,
 )
-from .dedup import SKEW_THRESHOLD, degree_estimates, is_skewed, keep_lighter_end
+from .dedup import SKEW_THRESHOLD, is_skewed
 from .global_sort import construct_global_sort
-from .heap_dedup import construct_heap, heap_dedup
+from .heap_dedup import construct_heap
 from .reference import construct_reference
 from .spgemm import CSRMatrix, spgemm, spgemm_rowwise_reference, transpose
 from .spgemm_construct import aggregation_matrix, construct_spgemm
-from .vertex_hash import construct_hash, hashed_dedup
+from .vertex_hash import construct_hash
 from .vertex_sort import construct_sort
 
 __all__ = [
@@ -26,16 +26,12 @@ __all__ = [
     "finalize_csr",
     "SKEW_THRESHOLD",
     "is_skewed",
-    "degree_estimates",
-    "keep_lighter_end",
     "construct_sort",
     "construct_hash",
-    "hashed_dedup",
     "construct_spgemm",
     "aggregation_matrix",
     "construct_global_sort",
     "construct_heap",
-    "heap_dedup",
     "construct_reference",
     "CSRMatrix",
     "spgemm",

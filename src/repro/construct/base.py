@@ -71,49 +71,31 @@ def available_constructors() -> list[str]:
 
 
 def mapped_cross_edges(
-    g: CSRGraph,
-    mapping: CoarseMapping,
-    space: ExecSpace,
-    phase: str = "construction",
-    with_endpoints: bool | str = True,
-    with_weights: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    g: CSRGraph, mapping: CoarseMapping, space: ExecSpace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map all directed edges to coarse space and drop intra-aggregate ones.
 
-    Returns ``(mu, mv, w, u, v)`` for the surviving directed entries.
-    This is the common first sweep of every strategy (Algorithm 6 lines
-    2-5 read the fine CSR once and gather ``M`` per endpoint).  Callers
-    that never look at the fine endpoints (every non-skew dedup path)
-    pass ``with_endpoints=False`` and get ``None`` for ``u``/``v``,
-    skipping two full edge-array materialisations; callers that merge
-    unit weights by counting runs pass ``with_weights=False`` likewise.
-    Callers that only need the endpoints for the keep-side tie-break
-    pass ``with_endpoints="tie"`` and get ``(u < v, None)`` in the
-    ``u``/``v`` slots — one bool per entry instead of two id arrays.
+    Returns ``(mu, mv, w)`` for the surviving directed entries: one read
+    of the fine CSR with ``M`` gathered per endpoint (Algorithm 6 lines
+    2-5), materialised whole for the global-sort baseline, which sorts
+    the full edge set at once.
     """
     counts = g.degrees()
     m = mapping.m
-    idx_t = np.int32 if g.n < (1 << 31) else VI
-    if idx_t is np.int32:
+    if g.n < (1 << 31):
         m = m.astype(np.int32)  # halves the bandwidth of the edge-wise gathers
     mu = np.repeat(m, counts)  # == m[edge_sources()], one gather per row
     mv = m[g.adjncy]
     cross = mu != mv
     space.ledger.charge(
-        phase,
+        "construction",
         KernelCost(
             stream_bytes=3.0 * _B * g.m_directed + 2.0 * _B * g.n,
             random_bytes=_B * g.m_directed,  # M gathers (M stays cache/L2-hot)
             launches=1,
         ),
     )
-    w = g.ewgts[cross] if with_weights else None
-    if with_endpoints == "tie":
-        return mu[cross], mv[cross], w, g.tie_mask()[cross], None
-    if with_endpoints:
-        u = np.repeat(np.arange(g.n, dtype=idx_t), counts)
-        return mu[cross], mv[cross], w, u[cross], g.adjncy[cross]
-    return mu[cross], mv[cross], w, None, None
+    return mu[cross], mv[cross], g.ewgts[cross]
 
 
 def coarse_vertex_weights(

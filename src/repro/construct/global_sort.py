@@ -33,7 +33,7 @@ _B = 8
 @register_constructor("global_sort")
 def construct_global_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSRGraph:
     n_c = mapping.n_c
-    mu, mv, w, _, _ = mapped_cross_edges(g, mapping, space, with_endpoints=False)
+    mu, mv, w = mapped_cross_edges(g, mapping, space)
     vwgts = coarse_vertex_weights(g, mapping, space)
 
     total = len(mu)

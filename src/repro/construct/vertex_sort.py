@@ -1,17 +1,23 @@
-"""Vertex-centric construction with sort-based deduplication (Algorithm 6).
+"""Vertex-centric construction (Algorithm 6) and its sort-based dedup.
 
-The default strategy of the paper: edges are binned by source coarse
-vertex into the intermediate F/X arrays, each bin is sorted by
-destination id (bitonic sort on the GPU, radix on the CPU — we charge
-``Σ k_i·log2(k_i)`` key-ops accordingly), and a strided sweep merges
-equal-key runs in place.  On skewed graphs the degree-based keep-side
-sweep first halves and *balances* the bins, and a final transpose pass
-(GraphConsWithTrans) restores symmetric storage.
+:func:`vertex_centric` is the one Algorithm 6 pipeline: edges are
+binned by source coarse vertex into the intermediate F/X arrays, each
+bin's duplicates are merged, and on skewed graphs the degree-based
+keep-side sweep first halves and *balances* the bins and a final
+transpose pass (GraphConsWithTrans) restores symmetric storage.  The
+registered vertex-centric strategies (``"sort"`` here, ``"hash"`` and
+``"heap"``) share it and differ only in the dedup charge they pass.
+
+The default strategy of the paper sorts each bin by destination id
+(bitonic sort on the GPU, radix on the CPU — we charge
+``Σ k_i·log2(k_i)`` key-ops accordingly) and a strided sweep merges
+equal-key runs in place.
 """
 
 from __future__ import annotations
 
 import contextlib
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .base import (
 )
 from .dedup import is_skewed
 
-__all__ = ["construct_sort", "sort_cost_keyops"]
+__all__ = ["construct_sort", "sort_cost", "sort_cost_keyops", "vertex_centric"]
 
 _B = 8
 
@@ -50,7 +56,48 @@ def sort_cost_keyops(bin_sizes: np.ndarray) -> float:
 
 @register_constructor("sort")
 def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSRGraph:
-    """Algorithm 6 with sort-based deduplication (the paper's default).
+    """Algorithm 6 with sort-based deduplication (the paper's default)."""
+    return vertex_centric(g, mapping, space, "sort", sort_cost)
+
+
+def sort_cost(entries: int, bins: np.ndarray, distinct: int) -> KernelCost:
+    """DEDUPWITHWTS by sorting each bin and merging equal-key runs.
+
+    Team-serialisation penalty: a bin is sorted by one team, in shared
+    memory while it fits; oversized bins (hub coarse vertices on skewed
+    graphs) spill to device memory and serialise — the effect the
+    degree-based keep-side sweep exists to prevent (25.7x on kron21,
+    Section IV-A).  A team's shared memory holds ~4k key-value pairs;
+    bitonic networks do log^2 passes, so a spilled sort pays several
+    extra global sweeps.
+    """
+    big = bins[bins > 1]
+    spill = 4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0
+    return KernelCost(
+        # binning scatter (F/X writes) + dedup sweep + compaction
+        stream_bytes=4.0 * _B * entries,
+        random_bytes=2.0 * _B * entries,
+        sort_key_ops=sort_cost_keyops(bins),
+        spill_ops=spill,
+        launches=3,
+    )
+
+
+def vertex_centric(
+    g: CSRGraph,
+    mapping: CoarseMapping,
+    space: ExecSpace,
+    strategy: str,
+    dedup_cost: Callable[[int, np.ndarray, int], KernelCost],
+) -> CSRGraph:
+    """Algorithm 6, the pipeline of every vertex-centric strategy.
+
+    ``strategy`` labels the ``dedup`` span and ``dedup_cost(entries,
+    bins, distinct)`` prices the merge: ``entries`` reach it, split
+    into per-source ``bins``, and ``distinct`` coarse entries leave it.
+    Every strategy merges the same bins the same way, so all of them
+    yield the same coarse graph byte for byte, under every execution
+    policy; only the charge differs.
 
     One pipeline for regular and skewed graphs.  Each edge-volume pass
     is one row-window body run through
@@ -136,8 +183,8 @@ def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSR
         else:
             mu_w, mv_w, sel, adj_w = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
         if skewed:
-            # keep-side predicate, charge-identical to keep_lighter_end
-            # over the window's cross entries
+            # keep-side predicate (Algorithm 6, lines 9 / 17): keep the
+            # copy whose source has the smaller C', fine ids breaking ties
             cu_est = np.repeat(cp_fine[r0:r1], degs[r0:r1])
             cv_est = cp_fine[adj_w]
             if tie is not None:
@@ -170,12 +217,14 @@ def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSR
 
         total = len(key)
         # per-source-bin sizes of the *pre-dedup* entries, for the
-        # sort/spill pricing.  The sorted key makes each source's run
+        # dedup pricing.  The sorted key makes each source's run
         # contiguous, so the bins fall out of n_c binary searches for
         # the row boundaries instead of a scatter-add over all entries.
         row_bounds = np.arange(n_c + 1, dtype=key_t) << shift
-        with space.span("dedup", strategy="sort", skew_opt=skewed):
+        with space.span("dedup", strategy=strategy, skew_opt=skewed):
             if skewed:
+                # C' by atomic increments, then the keep-side predicate,
+                # each over the c cross entries
                 space.ledger.charge(
                     "construction",
                     KernelCost(
@@ -203,27 +252,7 @@ def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSR
                     b.window_entries(_CONSTRUCT_BPE), arena,
                 )
             cv = key_d & key_t((1 << shift) - 1)
-            # team-serialisation penalty: a bin is sorted by one team, in
-            # shared memory while it fits; oversized bins (hub coarse
-            # vertices on skewed graphs) spill to device memory and
-            # serialise — the effect the degree-based keep-side sweep
-            # exists to prevent (25.7x on kron21, Section IV-A).  A team's
-            # shared memory holds ~4k key-value pairs; bitonic networks do
-            # log^2 passes, so a spilled sort pays several extra global
-            # sweeps.
-            big = bins[bins > 1]
-            spill = 4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0
-            space.ledger.charge(
-                "construction",
-                KernelCost(
-                    # binning scatter (F/X writes) + dedup sweep + compaction
-                    stream_bytes=4.0 * _B * total,
-                    random_bytes=2.0 * _B * total,
-                    sort_key_ops=sort_cost_keyops(bins),
-                    spill_ops=spill,
-                    launches=3,
-                ),
-            )
+            space.ledger.charge("construction", dedup_cost(total, bins, len(key_d)))
     if not skewed:
         space.ledger.charge(
             "construction",

@@ -281,6 +281,12 @@ def validate_request(req: dict) -> dict:
         out[name] = value
     if out["machine"] not in ("gpu", "cpu"):
         raise ProtocolError(f"unknown machine {out['machine']!r}")
+    from .. import available_coarseners, available_constructors
+
+    for field, known in (("coarsener", available_coarseners()),
+                         ("constructor", available_constructors())):
+        if out[field] not in known:
+            raise ProtocolError(f"unknown {field} {out[field]!r}; known: {known}")
     if out["refinement"] not in ("spectral", "fm"):
         raise ProtocolError(f"unknown refinement {out['refinement']!r}")
     if not 1 <= out["k"] <= 4096:

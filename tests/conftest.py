@@ -52,6 +52,22 @@ def random_connected(n: int, extra: int, seed: int = 0, weighted: bool = True) -
     return from_edge_list(n, src, dst, w, name=f"rc{n}")
 
 
+#: the strategies that share the one Algorithm 6 pipeline
+VERTEX_CENTRIC = ("sort", "hash", "heap")
+
+
+def per_vertex_centric(cases):
+    """One ``pytest.param`` per ``(id, values)`` case and vertex-centric
+    constructor, the constructor's name passed last.  Sort cases keep
+    the bare case id, so a test's sort-only ids stay stable."""
+    cases = list(cases)
+    return [
+        pytest.param(*values, c, id=case_id if c == "sort" else f"{case_id}-{c}")
+        for c in VERTEX_CENTRIC
+        for case_id, values in cases
+    ]
+
+
 def two_triangles() -> CSRGraph:
     """Two triangles joined by one bridge edge: obvious bisection."""
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]

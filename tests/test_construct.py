@@ -3,24 +3,39 @@
 import numpy as np
 import pytest
 
-from repro.coarsen import get_coarsener, hec_parallel
+from repro.coarsen import CoarseMapping, get_coarsener, hec_parallel
 from repro.construct import (
     SKEW_THRESHOLD,
     available_constructors,
     construct_reference,
-    degree_estimates,
+    construct_sort,
     get_constructor,
     is_skewed,
-    keep_lighter_end,
-    mapped_cross_edges,
 )
 from repro.construct import dedup as dedup_mod
+from repro.construct import vertex_sort
 from repro.csr import from_edge_list, validate
+from repro.generators.kron import rmat
 from repro.parallel import gpu_space
 
-from tests.conftest import grid_graph, random_connected, star_graph
+from tests.conftest import VERTEX_CENTRIC, random_connected
 
 ALL_CONSTRUCTORS = sorted(available_constructors())
+
+
+def _float_weighted(g, seed=1):
+    """``g`` with non-integer U(0.5, 4.0) edge weights."""
+    src, dst, _ = g.to_coo()
+    up = src < dst
+    w = np.random.default_rng(seed).uniform(0.5, 4.0, int(up.sum()))
+    return from_edge_list(g.n, src[up], dst[up], w, name=g.name)
+
+
+EQUIV_GRAPHS = {
+    "int": lambda: random_connected(150, 250, seed=11),
+    "float-regular": lambda: _float_weighted(random_connected(150, 250, seed=11)),
+    "float-skewed": lambda: _float_weighted(rmat(10, 8, seed=1)),
+}
 
 
 def _graphs_equal(a, b):
@@ -43,19 +58,27 @@ class TestRegistry:
             get_constructor("bogus")
 
 
-@pytest.mark.parametrize("cname", ALL_CONSTRUCTORS)
-@pytest.mark.parametrize("coarsener", ["hec", "hem", "mis2"])
+@pytest.mark.parametrize("coarsener,cname,graph", [
+    pytest.param(co, cn, gr, id=f"{co}-{cn}" + ("" if gr == "int" else f"-{gr}"))
+    for gr in EQUIV_GRAPHS for cn in ALL_CONSTRUCTORS for co in ("hec", "hem", "mis2")
+])
 class TestEquivalence:
     """All strategies produce the reference coarse graph — the central
     correctness property of Section III-B."""
 
-    def test_matches_reference(self, cname, coarsener):
-        g = random_connected(150, 250, seed=11)
+    def test_matches_reference(self, coarsener, cname, graph):
+        g = EQUIV_GRAPHS[graph]()
         mp = get_coarsener(coarsener)(g, gpu_space(4))
         ref = construct_reference(g, mp)
         out = get_constructor(cname)(g, mp, gpu_space(0))
         assert _graphs_equal(out, ref)
         validate(out)
+        if cname in VERTEX_CENTRIC:
+            # one pipeline merges every strategy's bins in the same
+            # order, so even non-integer weight sums agree bit for bit
+            want = construct_sort(g, mp, gpu_space(0))
+            for a in ("xadj", "adjncy", "ewgts", "vwgts"):
+                assert np.array_equal(getattr(out, a), getattr(want, a)), a
 
 
 @pytest.mark.parametrize("cname", ALL_CONSTRUCTORS)
@@ -92,8 +115,6 @@ class TestConstructionInvariants:
         assert gc.m == 0
 
     def test_identity_mapping_reproduces_graph(self, cname):
-        from repro.coarsen import CoarseMapping
-
         g = random_connected(80, 120, seed=6)
         mp = CoarseMapping(np.arange(g.n), g.n)
         gc = get_constructor(cname)(g, mp, gpu_space(0))
@@ -116,27 +137,66 @@ class TestSkewHeuristic:
         assert SKEW_THRESHOLD == 5.0
 
 
-class TestKeepSide:
-    def test_exactly_one_copy_survives(self):
-        g = random_connected(120, 200, seed=7)
-        mp = hec_parallel(g, gpu_space(1))
-        sp = gpu_space(0)
-        mu, mv, w, u, v = mapped_cross_edges(g, mp, sp)
-        c_prime = degree_estimates(mu, mp.n_c, sp)
-        keep = keep_lighter_end(mu, mv, u, v, c_prime, sp)
-        # pair each directed copy with its reverse: exactly one kept
-        fwd = {(int(a), int(b)) for a, b in zip(u[keep], v[keep])}
-        for a, b in zip(u.tolist(), v.tolist()):
-            assert ((a, b) in fwd) != ((b, a) in fwd)
+def _spy_dedup(monkeypatch) -> dict:
+    """Record what reaches the pipeline's dedup: the fused ``(mu, mv)``
+    keys, their weights, the per-source bins and the key's shift."""
+    real = vertex_sort._dedup_keys
+    seen = {}
 
-    def test_cprime_upper_bounds_true_degree(self):
+    def spy(key, w, key_bound, bounds, eng=None):
+        seen.update(key=np.array(key), w=w, shift=int(bounds[1]).bit_length() - 1)
+        out = real(key, w, key_bound, bounds, eng)
+        seen["bins"] = out[2]
+        return out
+
+    monkeypatch.setattr(vertex_sort, "_dedup_keys", spy)
+    return seen
+
+
+class TestKeepSide:
+    def test_exactly_one_copy_survives(self, monkeypatch):
+        """Each fine edge carries a unique weight, so the weights that
+        reach the dedup name the copies the keep-side sweep kept."""
+        rng = np.random.default_rng(7)
+        ex = rng.integers(1, 120, size=(200, 2))
+        pairs = {(0, v) for v in range(1, 120)}  # a hub makes it skewed
+        pairs |= {(min(a, b), max(a, b)) for a, b in ex.tolist() if a != b}
+        src, dst = np.array(sorted(pairs)).T
+        g = from_edge_list(120, src, dst, np.arange(1.0, len(src) + 1))
+        assert is_skewed(g)
+        m = np.arange(g.n) % 30
+        # some cross edges join coarse vertices of equal C', so the
+        # fine-id tie-break decides their copy
+        fu, fv = m[g.edge_sources()], m[g.adjncy]
+        c_prime = np.bincount(fu[fu != fv], minlength=30)
+        assert np.any((fu != fv) & (c_prime[fu] == c_prime[fv]))
+        seen = _spy_dedup(monkeypatch)
+        construct_sort(g, CoarseMapping(m, 30), gpu_space(0))
+        mask = (1 << seen["shift"]) - 1
+        kept = list(zip(
+            (seen["key"] >> seen["shift"]).tolist(),
+            (seen["key"] & mask).tolist(),
+            seen["w"].tolist(),
+        ))
+        cross = {
+            float(i + 1): (int(m[u]), int(m[v]))
+            for i, (u, v) in enumerate(zip(src, dst)) if m[u] != m[v]
+        }
+        assert sorted(w for _, _, w in kept) == sorted(cross)
+        for mu, mv, w in kept:
+            assert (mu, mv) in (cross[w], cross[w][::-1])
+
+    def test_cprime_upper_bounds_true_degree(self, monkeypatch):
+        """C' counts each coarse source's cross entries: exactly the
+        bins the regular path dedups."""
         g = random_connected(120, 200, seed=8)
+        assert not is_skewed(g)
         mp = hec_parallel(g, gpu_space(2))
-        sp = gpu_space(0)
-        mu, mv, w, u, v = mapped_cross_edges(g, mp, sp)
-        c_prime = degree_estimates(mu, mp.n_c, sp)
-        gc = get_constructor("sort")(g, mp, gpu_space(0))
-        assert np.all(np.diff(gc.xadj) <= c_prime)
+        seen = _spy_dedup(monkeypatch)
+        gc = construct_sort(g, mp, gpu_space(0))
+        cross = mp.m[g.edge_sources()] != mp.m[g.adjncy]
+        assert seen["bins"].sum() == int(cross.sum())
+        assert np.all(np.diff(gc.xadj) <= seen["bins"])
 
     def test_reference_same_with_and_without_optimization(self):
         g = random_connected(100, 300, seed=9)
@@ -149,22 +209,11 @@ class TestKeepSide:
         """With the sweep on, the dedup kernels see half the entries."""
         g = from_edge_list(40, [0] * 39, list(range(1, 40)))  # skewed star
         # star collapses under hec; use a 2-coloring mapping instead
-        from repro.coarsen import CoarseMapping
-
         m = np.arange(40) % 5
         mp = CoarseMapping(m, 5)
-        seen = {}
-        import repro.construct.vertex_sort as vs
-
-        real = vs._dedup_keys
-
-        def spy(key, w, key_bound, bounds, eng=None):
-            seen["entries"] = len(key)
-            return real(key, w, key_bound, bounds, eng)
-
-        monkeypatch.setattr(vs, "_dedup_keys", spy)
-        vs.construct_sort(g, mp, gpu_space(0))
-        with_opt = seen["entries"]
+        seen = _spy_dedup(monkeypatch)
+        construct_sort(g, mp, gpu_space(0))
+        with_opt = len(seen["key"])
         # without the sweep, dedup would see both directed copies of
         # every cross edge; the sweep keeps exactly one per edge
         cross = m[g.edge_sources()] != m[g.adjncy]
@@ -173,5 +222,5 @@ class TestKeepSide:
         # entry
         seen.clear()
         monkeypatch.setattr(dedup_mod, "SKEW_THRESHOLD", float("inf"))
-        vs.construct_sort(g, mp, gpu_space(0))
-        assert seen["entries"] == int(cross.sum())
+        construct_sort(g, mp, gpu_space(0))
+        assert len(seen["key"]) == int(cross.sum())

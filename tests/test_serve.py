@@ -206,6 +206,8 @@ class TestProtocol:
             ({"op": "partition", "graph": "ppa", "k": "two"}, "must be int"),
             ({"op": "partition", "graph": "ppa", "machine": "tpu"}, "machine"),
             ({"op": "partition", "graph": "ppa", "refinement": "km"}, "refinement"),
+            ({"op": "partition", "graph": "ppa", "coarsener": "bogus"}, "unknown coarsener"),
+            ({"op": "coarsen", "graph": "ppa", "constructor": "bogus"}, "unknown constructor"),
             ({"op": "partition", "graph": "ppa", "trace": "yes"}, "must be bool"),
         ]:
             with pytest.raises(ProtocolError, match=pat):

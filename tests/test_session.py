@@ -480,6 +480,15 @@ class TestSessionCLI:
         with pytest.raises(SystemExit, match="unknown corpus graph"):
             bench_main(["corpus", "--graphs", "not-a-graph"])
 
+    @pytest.mark.parametrize("flag", ["--coarsener", "--constructor"])
+    def test_unknown_strategy_rejected_before_running(self, flag, capsys):
+        """A misspelt strategy is a usage error (exit 2), not three failed
+        attempts and a quarantined task (exit 3)."""
+        with pytest.raises(SystemExit) as exc:
+            bench_main(["coarsen", "--graph", "ppa", flag, "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_summary_surfaces_recovery_and_failures(self):
         summary = {
             "jobs": 2, "tasks": 3, "wall_s": 1.0, "busy_s": 1.2,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import run_coarsening
-from repro.construct import construct_sort, is_skewed
+from repro.construct import construct_sort, get_constructor, is_skewed
 from repro.csr import CSRGraph
 from repro.csr import validation as csr_validation
 from repro.generators import corpus
@@ -24,7 +24,7 @@ from repro.storage import budget as budget_mod
 from repro.storage import chunked, mapped
 from repro.storage.budget import MemoryBudget, parse_budget
 
-from tests.conftest import random_connected, star_graph
+from tests.conftest import VERTEX_CENTRIC, per_vertex_centric, random_connected, star_graph
 
 
 def skewed_graph(seed=2):
@@ -138,9 +138,10 @@ class TestChunkedPrimitives:
 class TestBudgetedConstructParity:
     """Budgeted construction is byte-identical to the resident path."""
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("skewed", [False, True])
-    def test_construct_sort_parity(self, tmp_path, weighted, skewed):
+    @pytest.mark.parametrize("skewed,weighted,cname", per_vertex_centric(
+        (f"{s}-{w}", (s, w)) for s in (False, True) for w in (False, True)
+    ))
+    def test_construct_sort_parity(self, tmp_path, weighted, skewed, cname):
         from repro.coarsen import hec_parallel
         from repro.parallel import gpu_space
         from repro.trace.core import Tracer
@@ -158,15 +159,17 @@ class TestBudgetedConstructParity:
         else:
             graphs = [random_connected(300, 500, seed=4, weighted=weighted)]
 
+        construct = get_constructor(cname)
+
         def one(graph, budget_bytes):
             space = gpu_space(0)
             tr = Tracer("t").attach(space)
             mapping = hec_parallel(graph, space)
             if budget_bytes is None:
-                gc = construct_sort(graph, mapping, space)
+                gc = construct(graph, mapping, space)
             else:
                 with budget_mod.limit(budget_bytes):
-                    gc = construct_sort(graph, mapping, space)
+                    gc = construct(graph, mapping, space)
             tr.close()
             return gc, tr.to_dict()
 
@@ -185,19 +188,27 @@ class TestBudgetedConstructParity:
                 np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
             assert ref_t == got_t
 
-    def test_budget_engaged_and_planned_bound(self, tmp_path):
+    @pytest.mark.parametrize("cname", VERTEX_CENTRIC)
+    def test_budget_engaged_and_planned_bound(self, tmp_path, cname):
+        from repro.parallel import gpu_space
+
         g = random_connected(20_000, 60_000, seed=7)
         path = tmp_path / "g.csrdir"
         g.to_mapped(path)
         gm = CSRGraph.from_mapped(path)
         b = MemoryBudget(resident_bytes=256 * 1024)
         with budget_mod.limit(b):
-            run_coarsening(gm, machine="gpu", coarsener="hec",
-                           constructor="sort", seed=0)
+            row = run_coarsening(gm, machine="gpu", coarsener="hec",
+                                 constructor=cname, seed=0)
         assert b.engaged > 0
         assert b.peak_planned <= b.resident_bytes
         # the budget is smaller than the edge volume it processed
         assert b.resident_bytes < gm.m_directed * 8
+        # the constructor itself takes budget windows, not only the mapping
+        b = MemoryBudget(resident_bytes=256 * 1024)
+        with budget_mod.limit(b):
+            get_constructor(cname)(gm, row["hierarchy"].mappings[0], gpu_space(0))
+        assert b.engaged > 0
 
     def test_run_coarsening_full_parity(self, tmp_path):
         """End-to-end: results, trace rollups, hierarchy all byte-equal."""

@@ -19,7 +19,7 @@ import pytest
 from repro.bench.harness import run_coarsening, run_partition, space_for
 from repro.coarsen.hec import heavy_neighbors, hec_parallel
 from repro.coarsen.hem import unmatched_heavy_neighbors
-from repro.construct import construct_sort, is_skewed
+from repro.construct import construct_sort, get_constructor, is_skewed
 from repro.csr import CSRGraph
 from repro.generators.kron import rmat
 from repro.parallel import tiles
@@ -38,6 +38,8 @@ from repro.storage import budget as budget_mod
 from repro.storage import chunked, mapped
 from repro.storage.budget import MemoryBudget
 from repro.types import UNMAPPED, VI
+
+from tests.conftest import per_vertex_centric
 
 
 @pytest.fixture(scope="module")
@@ -381,8 +383,10 @@ class TestKernelParity:
             got = compute_gains(big, part)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("te", TILE_SIZES)
-    def test_construct_sort(self, big, te, monkeypatch):
+    @pytest.mark.parametrize("te,cname", per_vertex_centric(
+        (str(te), (te,)) for te in TILE_SIZES
+    ))
+    def test_construct_sort(self, big, te, cname, monkeypatch):
         """``big`` (skewed, unit weights) and its first coarse level
         (skewed, weighted), so the count pass, its carried windows and
         both keep-side sweeps run on tiles.  The coarse level sits below
@@ -392,14 +396,17 @@ class TestKernelParity:
         level1 = construct_sort(big, hec_parallel(big, s0), s0)
         assert is_skewed(level1) and not level1.has_unit_ewgts()
         monkeypatch.setattr(tiles, "_ENGAGE_ENTRIES", 0)
+        construct = get_constructor(cname)
         for g in (big, level1):
             s1, s2 = space_for("gpu"), space_for("gpu")
             mapping = hec_parallel(g, s1)
-            want = construct_sort(g, mapping, s1)
+            want = construct(g, mapping, s1)
             with tiles.limit(TileEngine(4, te)) as eng:
                 mapping2 = hec_parallel(g, s2)
-                got = construct_sort(g, mapping2, s2)
-            assert (eng.kernels > 0) == (te < g.m_directed)
+                k0 = eng.kernels
+                got = construct(g, mapping2, s2)
+            # the constructor itself runs on tiles, not only the mapping
+            assert (eng.kernels > k0) == (eng.kernels > 0) == (te < g.m_directed)
             assert mapping2.m.tobytes() == mapping.m.tobytes()
             for a, b in (
                 (want.xadj, got.xadj), (want.adjncy, got.adjncy),
