@@ -88,6 +88,14 @@ class KernelCost:
         self.transfer_bytes += other.transfer_bytes
         return self
 
+    def copy(self) -> "KernelCost":
+        """An independent copy: a later ``+=`` on either leaves the other alone."""
+        return KernelCost(
+            self.stream_bytes, self.random_bytes, self.atomic_ops,
+            self.sort_key_ops, self.hash_ops, self.spill_ops, self.launches,
+            self.flops, self.transfer_bytes,
+        )
+
     def scaled(self, factor: float) -> "KernelCost":
         """All counters multiplied by ``factor`` (paper-scale projection)."""
         return KernelCost(**{f: getattr(self, f) * factor for f in _COUNTERS})
@@ -133,6 +141,25 @@ class CostLedger:
         self._phases[phase] += cost
         for fn in self._listeners:
             fn(phase, cost)
+
+    def install_totals(self, totals: dict[str, KernelCost]) -> bool:
+        """Take each of ``totals``' phases as a copy of its cost, if allowed.
+
+        The bulk form of charging a run of costs whose per-phase sums
+        were taken ahead (:meth:`repro.trace.tape.Tape.replay`): a sum
+        started from zero and added to in charge order is bitwise what
+        :meth:`charge` leaves on a phase it creates.  So this declines,
+        changing nothing and returning False, when a listener is
+        attached (it must see every charge) or when any of the phases
+        was already charged (adding a sum is not adding its terms one
+        by one).  New phases follow the existing ones in ``totals``'
+        order, as :meth:`charge` would create them.
+        """
+        if self._listeners or any(p in self._phases for p in totals):
+            return False
+        for phase, cost in totals.items():
+            self._phases[phase] = cost.copy()
+        return True
 
     def phase(self, phase: str) -> KernelCost:
         """Total cost charged to ``phase`` (zero cost if never charged)."""

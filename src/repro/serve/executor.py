@@ -282,13 +282,14 @@ class ServeExecutor:
 
         Each patch records onto a fresh tape whose space resumes from
         the base tape's post-build RNG state; the stored entry then
-        carries the *composed* tape (base events + the patch's events
-        except its ``hold`` calls, patch RNG state), so a later cache
-        hit replays the whole lineage — charges, spans, tracker calls —
-        as recorded.  A patched level is copy-on-write of a level the
-        base build already holds, so the base build's holds are the
-        only resident levels and a patched tenant's ``peak_mem`` is its
-        cold build's.
+        carries the *composed* tape (:meth:`Tape.composed`: base events
+        + the patch's events except its ``hold`` calls, patch RNG
+        state, the fold carried forward), so a later cache hit replays
+        the whole lineage — charges, spans, tracker calls — as
+        recorded.  A patched level is copy-on-write of a level the base
+        build already holds, so the base build's holds are the only
+        resident levels and a patched tenant's ``peak_mem`` is its cold
+        build's.
         """
         from ..bench.harness import space_for
         from ..coarsen.incremental import patch_hierarchy
@@ -320,14 +321,7 @@ class ServeExecutor:
                 self.hierarchies.evict(key)
                 evicted += 1
                 continue
-            composed = Tape()
-            composed.machine = tape.machine
-            composed.events = list(tape.events) + [
-                ev for ev in patch_tape.events if ev[0] != "hold"
-            ]
-            composed.rng_state = patch_tape.rng_state
-            composed.complete = True
-            self.hierarchies.replace(key, new_h, composed)
+            self.hierarchies.replace(key, new_h, tape.composed(patch_tape))
             patched += 1
         return patched, evicted
 

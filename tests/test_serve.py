@@ -309,6 +309,32 @@ class TestServeExecutor:
             ex.registry.close()
         _no_own_segments()
 
+    def test_trace_opt_in_on_patched_tenant(self):
+        """After each of three updates, a read replays the composed
+        tape: untraced it installs the folded totals, traced it runs
+        every event, and the rows agree once ``trace`` is dropped."""
+        ex = ServeExecutor()
+        try:
+            assert ex.execute(_req(op="coarsen", trace=False))["status"] == "ok"
+            for _ in range(3):
+                g, _spec = ex.registry.graph("ppa", 0)
+                u, v = _new_edge_for(g)
+                upd = ex.execute(_update_req(add=[[u, v, 2.5]]))
+                assert upd["row"]["hierarchies_patched"] == 1
+                for req in (_req(op="coarsen"), _req(op="cluster"), _req(k=8)):
+                    untraced = ex.execute({**req, "trace": False})
+                    traced = ex.execute(req)
+                    for resp in (untraced, traced):
+                        assert resp["status"] == "ok", resp
+                        assert resp["meta"]["hierarchy"] == "hit"
+                    assert "trace" not in untraced["row"]
+                    assert _canon(untraced["row"]) == _canon(
+                        _without_trace(traced["row"]))
+            assert ex.hierarchies.stats()["builds"] == 1
+        finally:
+            ex.registry.close()
+        _no_own_segments()
+
     def test_untraced_reads_never_touch_a_tracer(self, monkeypatch):
         """Untraced builds, hits and embedding replays attach no tracer
         and serialize none."""

@@ -2,10 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.bench import run_coarsening, run_partition
+from repro.bench import run_coarsening, run_partition, space_for
+from repro.coarsen.incremental import patch_hierarchy
+from repro.coarsen.multilevel import coarsen_multilevel
+from repro.csr.update import apply_edges
 from repro.parallel import KernelCost, gpu_space
+from repro.parallel.cost import CostLedger
+from repro.parallel.memory import MemoryTracker
+from repro.partition.kway import kway_from_hierarchy
+from repro.partition.multilevel import multilevel_bisect
+from repro.serve.journal import tape_digest
 from repro.trace import (
     BASELINE_FORMAT,
     TRACE_FORMAT,
@@ -19,6 +28,7 @@ from repro.trace import (
 )
 from repro.trace.cli import main as trace_cli
 from repro.trace.rollup import level_rows, phase_rows, rollup_by_path, span_rows, to_csv
+from repro.trace.tape import Tape, fold
 
 from tests.conftest import random_connected
 
@@ -300,3 +310,214 @@ class TestCLI:
         assert trace_cli(["export", trace_file, "-o", str(out)]) == 0
         chrome = json.loads(out.read_text())
         assert chrome["traceEvents"]
+
+
+# ------------------------------------------------------------ folded replay
+
+
+def _fold_bits(folded):
+    """A fold as plain data, every counter by its exact bits."""
+    totals, tracked = folded
+    return [(p, _cost_bits(c)) for p, c in totals.items()], tracked
+
+
+def _cost_bits(cost):
+    return [float.hex(float(v)) for v in cost.as_dict().values()]
+
+
+def _event_bits(events):
+    """Events as plain data, each charge by its counters' exact bits."""
+    return [
+        ("charge", ev[1], _cost_bits(ev[2])) if ev[0] == "charge" else ev
+        for ev in events
+    ]
+
+
+def _ledger_bits(ledger):
+    """Phase order and every counter by ``float.hex``."""
+    return [(p, _cost_bits(ledger.phase(p))) for p in ledger.phases()]
+
+
+def _state(space, tracker):
+    """Everything a replay leaves behind: the ledger's bits, the
+    tracker's peak and resident bytes, the RNG state."""
+    return (
+        _ledger_bits(space.ledger),
+        float.hex(tracker.peak), float.hex(tracker._resident),
+        space.rng.bit_generator.state,
+    )
+
+
+def _unfolded(tape):
+    """A tape built from the same recording without a fold: its
+    replays run every event through ``CostLedger.charge``."""
+    plain = Tape()
+    plain.machine, plain.events = tape.machine, list(tape.events)
+    plain.rng_state, plain.complete = tape.rng_state, True
+    return plain
+
+
+def _replayed(tape, machine, times=1):
+    """State after replaying ``tape`` ``times`` into one fresh space."""
+    space, tracker = space_for(machine, 5), MemoryTracker.null()
+    for _ in range(times):
+        tape.replay(space, tracker)
+    return _state(space, tracker)
+
+
+def _fold_graph():
+    return random_connected(600, 900, seed=3).with_name("f")
+
+
+def _build_tape(coarsener="hec", machine="gpu", g=None):
+    """A hierarchy of ``g`` and the tape its build recorded."""
+    if g is None:
+        g = _fold_graph()
+    tape = Tape()
+    hierarchy = coarsen_multilevel(
+        g, space_for(machine, 0), coarsener=coarsener,
+        tracker=MemoryTracker.null(), tape=tape,
+    )
+    return hierarchy, tape
+
+
+def _composed_tapes(batches=3):
+    """The serving lineage of one tenant: a build tape, then the tape
+    composed after each of ``batches`` update batches."""
+    g = _fold_graph()
+    hierarchy, tape = _build_tape(g=g)
+    rng = np.random.default_rng(17)
+    out = []
+    for _ in range(batches):
+        add = rng.integers(0, g.n, size=(2, 12))
+        keep = add[0] != add[1]
+        eidx = rng.choice(g.m_directed, 8, replace=False)
+        g, delta = apply_edges(
+            g, add=(add[0][keep], add[1][keep], rng.uniform(1, 9, int(keep.sum()))),
+            remove=(g.edge_sources()[eidx], np.asarray(g.adjncy)[eidx]),
+        )
+        space = space_for("gpu", 0)
+        space.rng.bit_generator.state = tape.rng_state
+        patch = Tape()
+        hierarchy = patch_hierarchy(
+            hierarchy, g, delta, space, tracker=MemoryTracker.null(), tape=patch,
+        )
+        tape = tape.composed(patch)
+        out.append(tape)
+    return out
+
+
+@pytest.fixture(scope="module")
+def kept_tapes():
+    """The kept-read tapes of a k=8 read, an FM bisection and the
+    embedding: each read runs three times from one entry state, so the
+    second records its tape and the third replays it."""
+    g = _fold_graph()
+    hierarchy, _tape = _build_tape(g=g)
+    for _ in range(3):
+        kway_from_hierarchy(g, hierarchy, 8, space_for("gpu", 0))
+        multilevel_bisect(g, space_for("gpu", 0), refinement="fm",
+                          hierarchy=hierarchy)
+    tapes = {key: noted[1][1] for key, noted in hierarchy.kept.items()}
+    assert len(tapes) == 3 and all(t.fold is not None for t in tapes.values())
+    return tapes
+
+
+class TestFoldedReplay:
+    """An untraced replay into phases the ledger does not hold installs
+    the tape's folded charge totals: bitwise the per-event replay."""
+
+    @pytest.mark.parametrize("machine", ["gpu", "cpu"])
+    @pytest.mark.parametrize("coarsener", ["hec", "hem"])
+    def test_build_tape_equals_per_event_replay(self, coarsener, machine):
+        _h, tape = _build_tape(coarsener, machine)
+        assert tape.fold is not None
+        got = _replayed(tape, machine)
+        assert got == _replayed(_unfolded(tape), machine)
+        assert got[0] and got[1] != float.hex(0.0)
+
+    def test_composed_tape_equals_per_event_replay(self):
+        for tape in _composed_tapes():
+            assert _replayed(tape, "gpu") == _replayed(_unfolded(tape), "gpu")
+
+    def test_kept_read_tapes_equal_per_event_replay(self, kept_tapes):
+        for tape in kept_tapes.values():
+            assert _replayed(tape, "gpu") == _replayed(_unfolded(tape), "gpu")
+
+    def test_second_replay_into_one_space_runs_every_event(self):
+        """The second replay finds its phases charged, so the ledger
+        declines the totals and each charge is added in order."""
+        _h, tape = _build_tape()
+        assert _replayed(tape, "gpu", times=2) == _replayed(
+            _unfolded(tape), "gpu", times=2)
+
+    def test_replay_inside_a_recording_logs_every_event(self, kept_tapes):
+        """The nested kept read: a replay inside ``Tape.record`` feeds
+        the outer recording every charge, span and tracker call."""
+        for inner in [*kept_tapes.values(), _build_tape()[1]]:
+            space, outer = space_for("gpu", 5), Tape()
+            with outer.record(space):
+                inner.replay(space, outer.wrap_tracker(MemoryTracker.null()))
+            assert _event_bits(outer.events) == _event_bits(inner.events)
+            assert outer.rng_state == inner.rng_state
+
+    def test_traced_replay_trace_unchanged(self, kept_tapes):
+        for tape in [_build_tape()[1], *kept_tapes.values()]:
+            docs = []
+            for t in (tape, _unfolded(tape)):
+                space = space_for("gpu", 5)
+                tracer = Tracer("replay").attach(space)
+                t.replay(space, MemoryTracker.null())
+                docs.append(json.dumps(tracer.close().to_dict(), sort_keys=True))
+            assert docs[0] == docs[1]
+
+    def test_composed_carries_the_fold(self):
+        for tape in _composed_tapes():
+            assert _fold_bits(tape.fold) == _fold_bits(fold(tape.events))
+            assert tape_digest(tape) == tape_digest(_unfolded(tape))
+
+    def test_untraced_replay_makes_no_charge(self, monkeypatch):
+        tape = _composed_tapes()[-1]
+        calls = []
+        charge = CostLedger.charge
+
+        def counted(self, phase, cost):
+            calls.append(phase)
+            charge(self, phase, cost)
+
+        monkeypatch.setattr(CostLedger, "charge", counted)
+        tape.replay(space_for("gpu", 5), MemoryTracker.null())
+        assert calls == []
+        _unfolded(tape).replay(space_for("gpu", 5), MemoryTracker.null())
+        assert len(calls) == sum(ev[0] == "charge" for ev in tape.events)
+
+    def test_ledger_declines_what_it_cannot_install_exactly(self):
+        """A listener must see every charge, and a sum added onto a
+        charged phase is not its terms added one by one."""
+        totals = {"mapping": KernelCost(stream_bytes=3.0)}
+        watched = CostLedger()
+        watched.add_listener(lambda phase, cost: None)
+        assert not watched.install_totals(totals)
+        assert watched.phases() == []
+        charged = CostLedger()
+        charged.charge("mapping", KernelCost(launches=1.0))
+        assert not charged.install_totals(totals)
+        assert charged.phase("mapping") == KernelCost(launches=1.0)
+        fresh = CostLedger()
+        fresh.charge("refinement", KernelCost(launches=1.0))
+        assert fresh.install_totals(totals)
+        assert fresh.phases() == ["refinement", "mapping"]
+        assert fresh.phase("mapping") == totals["mapping"]
+        assert fresh.phase("mapping") is not totals["mapping"]
+
+    def test_ledger_never_aliases_the_fold(self):
+        """Charging a replayed phase again must not reach the tape."""
+        _h, tape = _build_tape()
+        space = space_for("gpu", 5)
+        tape.replay(space)
+        first = _ledger_bits(space.ledger)
+        for phase in space.ledger.phases():
+            space.ledger.charge(phase, KernelCost(stream_bytes=1.0, launches=1.0))
+        again = space_for("gpu", 5)
+        tape.replay(again)
+        assert _ledger_bits(again.ledger) == first
